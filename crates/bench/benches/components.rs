@@ -205,6 +205,47 @@ fn bench_noc() {
             ))
         });
     }
+    // A 64-core broadcast: 63 snoop probes from one source over an 8×8
+    // mesh, as one tree walk, from a corner (longest legs) and from the
+    // centre (four short row/column fans). The per-message loop is the
+    // reference the tree walk reproduces bit for bit.
+    let mesh_8x8 = NocConfig {
+        width: 8,
+        height: 8,
+        ..NocConfig::default()
+    };
+    for (name, src) in [("timed_fanout_corner", 0), ("timed_fanout_centre", 27)] {
+        let mut fabric = Fabric::new(mesh_8x8.clone());
+        let src = CoreId::new(src);
+        let targets = CoreSet::all(64).difference(CoreSet::single(src));
+        let mut i = 0u64;
+        timing::bench(name, || {
+            i += 1;
+            let mut latest = Cycle::ZERO;
+            fabric.fanout(
+                src,
+                targets,
+                MsgKind::SnoopProbe,
+                Cycle::new(i * 64),
+                |_, t| latest = latest.max(t),
+            );
+            black_box(latest)
+        });
+    }
+    {
+        let mut fabric = Fabric::new(mesh_8x8);
+        let src = CoreId::new(0);
+        let targets = CoreSet::all(64).difference(CoreSet::single(src));
+        let mut i = 0u64;
+        timing::bench("timed_send_x63_corner", || {
+            i += 1;
+            let mut latest = Cycle::ZERO;
+            for dst in targets.iter() {
+                latest = latest.max(fabric.send(src, dst, MsgKind::SnoopProbe, Cycle::new(i * 64)));
+            }
+            black_box(latest)
+        });
+    }
 }
 
 fn bench_trace_codec() {

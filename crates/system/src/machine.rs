@@ -76,36 +76,28 @@ impl ProtoDispatch {
 /// Per-transaction arrival-time scratch, indexed by physical core.
 ///
 /// The snoop and predicted paths need "when did the probe reach core X"
-/// for up to every core; a fixed `Option<Cycle>` array sized to
-/// [`CoreSet::MAX_CORES`] replaces the `HashMap` the old code allocated
-/// per transaction. Transactions never nest, so one instance per system
-/// suffices; each path resets it before use.
+/// for up to every core; a fixed array sized to [`CoreSet::MAX_CORES`]
+/// replaces the `HashMap` the old code allocated per transaction. Which
+/// entries are live is the phase's own probe set — each path reads only
+/// cores it has just probed — so nothing is cleared between phases.
+/// Transactions never nest, so one instance per system suffices.
 #[derive(Debug)]
-struct ArrivalScratch([Option<Cycle>; CoreSet::MAX_CORES]);
+struct ArrivalScratch([Cycle; CoreSet::MAX_CORES]);
 
 impl ArrivalScratch {
     fn new() -> Self {
-        ArrivalScratch([None; CoreSet::MAX_CORES])
-    }
-
-    #[inline]
-    fn reset(&mut self) {
-        self.0.fill(None);
+        ArrivalScratch([Cycle::ZERO; CoreSet::MAX_CORES])
     }
 
     #[inline]
     fn set(&mut self, core: CoreId, t: Cycle) {
-        self.0[core.index()] = Some(t);
+        self.0[core.index()] = t;
     }
 
+    /// Arrival at `core`, which the current phase must have probed.
     #[inline]
-    fn get(&self, core: CoreId) -> Option<Cycle> {
+    fn get(&self, core: CoreId) -> Cycle {
         self.0[core.index()]
-    }
-
-    #[inline]
-    fn contains(&self, core: CoreId) -> bool {
-        self.0[core.index()].is_some()
     }
 }
 
@@ -117,7 +109,7 @@ pub struct CmpSystem {
     /// Cached dispatch tag of `cfg.protocol` (hot-path `match` target).
     proto: ProtoDispatch,
     /// Reusable probe/predicted-request arrival times (one per physical
-    /// core), cleared at the start of each transaction phase.
+    /// core); each phase reads only the cores it has just probed.
     arrival: ArrivalScratch,
     fabric: Fabric,
     dir: Directory,
@@ -974,59 +966,62 @@ impl CmpSystem {
     ) -> Cycle {
         let home = self.dir.home_of(block);
         let l2_lat = self.cfg.machine.l2.tag_cycles + self.cfg.machine.l2.data_cycles;
-        self.arrival.reset();
-        for dst in probe_set.iter() {
-            if dst == core {
-                continue;
-            }
-            let t_arr = self.fabric.send(core, dst, probe_kind, t0);
-            self.arrival.set(dst, t_arr);
+        // The probe burst, then the probed caches' snoop bookkeeping (which
+        // never touches the fabric, so it may follow the whole burst).
+        let probed = probe_set.difference(CoreSet::single(core));
+        let arrival = &mut self.arrival;
+        self.fabric
+            .fanout(core, probed, probe_kind, t0, |dst, t| arrival.set(dst, t));
+        for dst in probed.iter() {
             self.probe_remote_with_pc(dst, block, core, pc);
         }
         let mut completion = t0;
         match owner {
-            Some(o) if o != core && self.arrival.contains(o) => {
-                let t_probe = self.arrival.get(o).unwrap();
+            Some(o) if o != core && probed.contains(o) => {
+                let t_probe = self.arrival.get(o);
                 let t_data = self
                     .fabric
                     .send(o, core, MsgKind::DataResponse, t_probe + l2_lat);
                 completion = completion.max(t_data);
             }
             _ => {
-                let t_probe_home = self.arrival.get(home).unwrap_or_else(|| {
+                let t_probe_home = if probed.contains(home) {
+                    self.arrival.get(home)
+                } else {
                     // Memory fallback needs the home even if unprobed.
                     self.fabric.send(core, home, probe_kind, t0)
-                });
+                };
                 let t_mem = t_probe_home + self.cfg.machine.mem_latency;
                 let t_data = self.fabric.send(home, core, MsgKind::DataResponse, t_mem);
                 completion = completion.max(t_data);
             }
         }
+        // Probed sharers ack an exclusive request's invalidation; the owner's
+        // data doubles as its ack.
+        let mut acked = CoreSet::empty();
         if kind.is_exclusive() {
-            for s in targets.iter() {
-                let Some(t_probe) = self.arrival.get(s) else {
-                    continue;
-                };
-                if Some(s) == owner {
-                    continue;
-                }
+            acked = targets.intersect(probed);
+            if let Some(o) = owner {
+                acked.remove(o);
+            }
+            for s in acked.iter() {
                 let t_ack = self.fabric.send(
                     s,
                     core,
                     MsgKind::InvalidateAck,
-                    t_probe + self.cfg.machine.l2.tag_cycles,
+                    self.arrival.get(s) + self.cfg.machine.l2.tag_cycles,
                 );
                 completion = completion.max(t_ack);
             }
         }
         // Every probed node that neither supplied data nor acked an
         // invalidation still answers the snoop (bandwidth only).
-        for dst in probe_set.iter() {
-            if dst == core || Some(dst) == owner || (kind.is_exclusive() && targets.contains(dst)) {
-                continue;
-            }
-            self.fabric.send_untimed(dst, core, MsgKind::SnoopResponse);
+        let mut silent = probed.difference(acked);
+        if let Some(o) = owner {
+            silent.remove(o);
         }
+        self.fabric
+            .fanin_untimed(silent, core, MsgKind::SnoopResponse);
         completion
     }
 
@@ -1198,7 +1193,6 @@ impl CmpSystem {
         let l2_lat = self.cfg.machine.l2.tag_cycles + self.cfg.machine.l2.data_cycles;
 
         // Predicted requests race the directory request.
-        self.arrival.reset();
         for p in pset.iter() {
             let t_arr = self.fabric.send(core, p, MsgKind::PredictedRequest, t0);
             self.account_pred_overhead(core, p, MsgKind::PredictedRequest, communicating);
@@ -1214,7 +1208,7 @@ impl CmpSystem {
                     if pset.contains(o) {
                         // 2-hop cache-to-cache transfer; the supplier also
                         // updates the directory off the critical path.
-                        let t_arr = self.arrival.get(o).expect("predicted node was probed");
+                        let t_arr = self.arrival.get(o);
                         let t_data =
                             self.fabric
                                 .send(o, core, MsgKind::DataResponse, t_arr + l2_lat);
@@ -1244,7 +1238,7 @@ impl CmpSystem {
                 match owner {
                     Some(o) if o != core => {
                         let t_data = if pset.contains(o) {
-                            let t_arr = self.arrival.get(o).expect("predicted node was probed");
+                            let t_arr = self.arrival.get(o);
                             self.fabric
                                 .send(o, core, MsgKind::DataResponse, t_arr + l2_lat)
                         } else {
@@ -1266,13 +1260,13 @@ impl CmpSystem {
                     if Some(s) == owner {
                         continue;
                     }
-                    let t_ack = if let Some(t_arr) = self.arrival.get(s) {
+                    let t_ack = if pset.contains(s) {
                         // Correctly predicted sharer: invalidated directly.
                         self.fabric.send(
                             s,
                             core,
                             MsgKind::InvalidateAck,
-                            t_arr + self.cfg.machine.l2.tag_cycles,
+                            self.arrival.get(s) + self.cfg.machine.l2.tag_cycles,
                         )
                     } else {
                         // The directory invalidates the sharers that were
@@ -1299,7 +1293,7 @@ impl CmpSystem {
                 _ => targets.contains(p),
             };
             if !supplies {
-                let t_arr = self.arrival.get(p).expect("predicted node was probed");
+                let t_arr = self.arrival.get(p);
                 self.fabric.send(p, core, MsgKind::Nack, t_arr);
                 self.account_pred_overhead(p, core, MsgKind::Nack, communicating);
             }

@@ -1,7 +1,11 @@
 //! Golden-snapshot regression tests: 12 benchmarks × 4 protocols at the
-//! fixed figure seed, snapshotted under `tests/golden/`. Any change to
-//! simulator behavior shows up as a precise line diff. The streamed
-//! (spooled-to-disk) sweep path must reproduce every golden byte for byte.
+//! fixed figure seed on the paper's 16-core machine, plus one 64-core
+//! snapshot (`mesh64`: trimmed lock and barrier benchmarks ×
+//! {dir, bc, sp, mc} on an 8×8 mesh, the broadcast and two-phase
+//! multicast-snoop fan-out at the core-count cap), all under
+//! `tests/golden/`. Any change to simulator behavior shows up as a precise
+//! line diff. The streamed (spooled-to-disk) sweep path must reproduce
+//! every golden byte for byte.
 //!
 //! Regenerate after an intentional behavior change with:
 //!
@@ -16,8 +20,9 @@
 use std::path::PathBuf;
 
 use spcp::harness::{golden, RunMatrix, StreamConfig, SweepEngine};
-use spcp::system::{PredictorKind, ProtocolKind};
-use spcp::workloads::suite;
+use spcp::noc::NocConfig;
+use spcp::system::{MachineConfig, PredictorKind, ProtocolKind};
+use spcp::workloads::{suite, BenchmarkSpec};
 
 const GOLDEN_BENCHES: [&str; 12] = [
     "fft",
@@ -47,11 +52,62 @@ fn golden_matrix(bench: &str) -> RunMatrix {
         .protocol("uni", ProtocolKind::Predicted(PredictorKind::Uni))
 }
 
+/// The benchmark cut to one iteration of the first three epochs of its
+/// first phase.
+fn first_epochs_once(mut spec: BenchmarkSpec) -> BenchmarkSpec {
+    spec.phases.truncate(1);
+    spec.phases[0].epochs.truncate(3);
+    spec.phases[0].iterations = 1;
+    spec
+}
+
+/// The 64-core snapshot: an 8×8 mesh running a lock benchmark (vips) and a
+/// barrier benchmark (bodytrack), each trimmed to three epochs of its first
+/// phase so the debug-mode suite stays fast, under dir, bc, sp and mc
+/// (multicast snooping: probes the predicted set and the home, then
+/// broadcasts when that set misses a target).
+fn mesh64_matrix() -> RunMatrix {
+    let mut machine = MachineConfig::paper_16core();
+    machine.num_cores = 64;
+    machine.noc = NocConfig {
+        width: 8,
+        height: 8,
+        ..NocConfig::default()
+    };
+    RunMatrix::new()
+        .benches(
+            ["vips", "bodytrack"]
+                .map(|n| first_epochs_once(suite::by_name(n).expect("known benchmark"))),
+        )
+        .machine("mesh64", machine)
+        .protocol("dir", ProtocolKind::Directory)
+        .protocol("bc", ProtocolKind::Broadcast)
+        .protocol("sp", ProtocolKind::Predicted(PredictorKind::sp_default()))
+        .protocol(
+            "mc",
+            ProtocolKind::MulticastSnoop(PredictorKind::sp_default()),
+        )
+}
+
+/// Every snapshot file: its name and the matrix it renders.
+fn golden_files() -> Vec<(&'static str, RunMatrix)> {
+    let mut files: Vec<(&'static str, RunMatrix)> = GOLDEN_BENCHES
+        .iter()
+        .map(|&b| (b, golden_matrix(b)))
+        .collect();
+    files.push(("mesh64", mesh64_matrix()));
+    files
+}
+
 fn check_bench(bench: &str) {
-    let result = SweepEngine::new(2).run(&golden_matrix(bench));
-    assert_eq!(result.runs.len(), 4);
+    check_matrix(bench, &golden_matrix(bench));
+}
+
+fn check_matrix(name: &str, matrix: &RunMatrix) {
+    let result = SweepEngine::new(2).run(matrix);
+    assert_eq!(result.runs.len(), matrix.len());
     let rendered = golden::render(&result);
-    let path = golden_dir().join(format!("{bench}.golden"));
+    let path = golden_dir().join(format!("{name}.golden"));
     match golden::check_or_update(&path, &rendered) {
         Ok(updated) => {
             if updated {
@@ -122,6 +178,11 @@ fn golden_dedup() {
     check_bench(GOLDEN_BENCHES[11]);
 }
 
+#[test]
+fn golden_mesh64() {
+    check_matrix("mesh64", &mesh64_matrix());
+}
+
 /// The streamed (write-ahead spool) path reproduces every golden file byte
 /// for byte: the same matrix run through `run_streamed` renders from its
 /// on-disk records to exactly the snapshot the in-memory path produced.
@@ -129,7 +190,7 @@ fn golden_dedup() {
 fn streamed_path_reproduces_all_goldens() {
     let dir = std::env::temp_dir().join(format!("spcp-golden-stream-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    for bench in GOLDEN_BENCHES {
+    for (bench, matrix) in golden_files() {
         let path = golden_dir().join(format!("{bench}.golden"));
         let stored = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -139,7 +200,7 @@ fn streamed_path_reproduces_all_goldens() {
         };
         let spool = dir.join(bench);
         let streamed = SweepEngine::new(2)
-            .run_streamed(&golden_matrix(bench), &StreamConfig::new(&spool))
+            .run_streamed(&matrix, &StreamConfig::new(&spool))
             .expect("streamed sweep");
         let rendered = streamed.render_golden().expect("replay spool");
         assert_eq!(rendered, stored, "{bench}: streamed render diverges");
@@ -148,10 +209,10 @@ fn streamed_path_reproduces_all_goldens() {
 }
 
 /// The golden files themselves stay well-formed: header line, one `[run …]`
-/// block per protocol, only `field = integer` payload lines.
+/// block per matrix cell, only `field = integer` payload lines.
 #[test]
 fn golden_files_are_well_formed() {
-    for bench in GOLDEN_BENCHES {
+    for (bench, matrix) in golden_files() {
         let path = golden_dir().join(format!("{bench}.golden"));
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -179,6 +240,10 @@ fn golden_files_are_well_formed() {
                 "{bench}: non-integer value in {line:?}"
             );
         }
-        assert_eq!(run_blocks, 4, "{bench}: expected one block per protocol");
+        assert_eq!(
+            run_blocks,
+            matrix.len(),
+            "{bench}: expected one block per matrix cell"
+        );
     }
 }

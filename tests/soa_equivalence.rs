@@ -9,9 +9,12 @@
 //!   bit for bit: hit/miss, returned payload, victim `(block, payload)`,
 //!   occupancy and the hit/miss counters.
 //! * `RefFabric` — the naive one-hop-at-a-time reservation model
-//!   (`HashMap<Link, Vec<Cycle>>`, slot bases re-derived per hop). Every
-//!   send is issued to both fabrics and the arrival cycle and accumulated
-//!   contention compared exactly.
+//!   (`HashMap<Link, Vec<Cycle>>`, slot bases re-derived per hop, every
+//!   `NocStats` field accounted per message). Every send is issued to both
+//!   fabrics and the arrival cycle and accumulated statistics compared
+//!   exactly. The batched `Fabric::fanout` tree walk and
+//!   `Fabric::fanin_untimed` are pinned against the reference sending one
+//!   message at a time, in ascending core order.
 //!
 //! Each of the four protocols of the comparison study drives its own
 //! ≥ 1000 randomized sequences, with the op mix and traffic pattern
@@ -26,8 +29,8 @@
 use std::collections::HashMap;
 
 use spcp::mem::{BlockAddr, CacheConfig, SetAssocCache, BLOCK_BYTES};
-use spcp::noc::{Fabric, Link, Mesh, MsgKind, NocConfig};
-use spcp::sim::{CoreId, Cycle, DetRng};
+use spcp::noc::{Direction, Fabric, Link, Mesh, MsgKind, NocConfig, NocStats};
+use spcp::sim::{CoreId, CoreSet, Cycle, DetRng};
 use spcp::system::{PredictorKind, ProtocolKind};
 
 mod common;
@@ -47,12 +50,13 @@ fn case_rng(salt: u64, case: u64) -> DetRng {
 
 /// The pre-batching reservation semantics: per-link VC vectors in a
 /// `HashMap`, slot bases re-derived hop by hop, earliest-free VC (first on
-/// ties), lazily initialised to all-free.
+/// ties), lazily initialised to all-free; traffic accounted message by
+/// message.
 struct RefFabric {
     mesh: Mesh,
     cfg: NocConfig,
     link_free: HashMap<Link, Vec<Cycle>>,
-    contention_cycles: u64,
+    stats: NocStats,
 }
 
 impl RefFabric {
@@ -61,13 +65,40 @@ impl RefFabric {
             mesh: Mesh::new(cfg.width, cfg.height),
             cfg,
             link_free: HashMap::new(),
-            contention_cycles: 0,
+            stats: NocStats::default(),
         }
     }
 
+    /// Bandwidth and energy of one message (the §5.3 model).
+    fn account(&mut self, src: CoreId, dst: CoreId, kind: MsgKind) {
+        let bytes = kind.bytes();
+        self.stats.messages += 1;
+        self.stats.bytes_injected += bytes;
+        let hops = self.mesh.hops(src, dst) as u64;
+        if hops == 0 {
+            return;
+        }
+        self.stats.byte_hops += bytes * hops;
+        if !kind.carries_data() {
+            self.stats.ctrl_byte_hops += bytes * hops;
+        }
+        self.stats.energy += bytes as f64
+            * hops as f64
+            * (self.cfg.link_energy_per_byte + self.cfg.router_energy_per_byte);
+    }
+
+    fn send_untimed(&mut self, src: CoreId, dst: CoreId, kind: MsgKind) {
+        self.account(src, dst, kind);
+    }
+
     fn send(&mut self, src: CoreId, dst: CoreId, kind: MsgKind, depart: Cycle) -> Cycle {
+        self.account(src, dst, kind);
         if src == dst {
             return depart;
+        }
+        if !self.cfg.model_contention {
+            let hops = self.mesh.hops(src, dst) as u64;
+            return depart + hops * (self.cfg.router_cycles + self.cfg.link_cycles);
         }
         let vcs = self.cfg.virtual_channels.max(1);
         let flits = kind.bytes().div_ceil(self.cfg.flit_bytes).max(1);
@@ -83,13 +114,63 @@ impl RefFabric {
                 .min_by_key(|c| **c)
                 .expect("at least one VC");
             if *slot > head {
-                self.contention_cycles += (*slot - head).as_u64();
+                self.stats.contention_cycles += (*slot - head).as_u64();
                 head = *slot;
             }
             *slot = head + flits * self.cfg.link_cycles;
             head += self.cfg.link_cycles;
         }
         head
+    }
+}
+
+/// Every `NocStats` field equal, the `f64` energy bit for bit.
+fn assert_stats_eq(got: &NocStats, want: &NocStats, ctx: &str) {
+    assert_eq!(got.messages, want.messages, "{ctx}: messages");
+    assert_eq!(got.bytes_injected, want.bytes_injected, "{ctx}: bytes");
+    assert_eq!(got.byte_hops, want.byte_hops, "{ctx}: byte-hops");
+    assert_eq!(
+        got.ctrl_byte_hops, want.ctrl_byte_hops,
+        "{ctx}: ctrl byte-hops"
+    );
+    assert_eq!(
+        got.energy.to_bits(),
+        want.energy.to_bits(),
+        "{ctx}: energy {} vs {}",
+        got.energy,
+        want.energy
+    );
+    assert_eq!(
+        got.contention_cycles, want.contention_cycles,
+        "{ctx}: contention"
+    );
+}
+
+/// Every link holds the same multiset of VC free times as the reference
+/// (the fabric keeps each link's times earliest first; the reference keeps
+/// them in the lanes its first-on-ties pick happened to use).
+fn assert_vc_multisets_eq(fab: &Fabric, rfab: &RefFabric, ctx: &str) {
+    let vcs = rfab.cfg.virtual_channels.max(1);
+    for from in 0..rfab.cfg.nodes() {
+        for dir in [
+            Direction::East,
+            Direction::West,
+            Direction::North,
+            Direction::South,
+        ] {
+            let link = Link { from, dir };
+            let mut want = rfab
+                .link_free
+                .get(&link)
+                .cloned()
+                .unwrap_or_else(|| vec![Cycle::ZERO; vcs]);
+            want.sort_unstable();
+            assert_eq!(
+                fab.vc_free_times(link),
+                want.as_slice(),
+                "{ctx}: VC free times of {link:?}"
+            );
+        }
     }
 }
 
@@ -263,11 +344,8 @@ fn lockstep_sequence(rng: &mut DetRng, mix: &Mix, ctx: &str) -> (u64, u64) {
     assert_eq!(got, aos.resident(), "{ctx}: resident (block, stamp) pairs");
     soa.audit()
         .unwrap_or_else(|e| panic!("{ctx}: cache audit: {e}"));
-    assert_eq!(
-        fab.stats().contention_cycles,
-        rfab.contention_cycles,
-        "{ctx}: contention"
-    );
+    assert_stats_eq(fab.stats(), &rfab.stats, ctx);
+    assert_vc_multisets_eq(&fab, &rfab, ctx);
     fab.audit()
         .unwrap_or_else(|e| panic!("{ctx}: fabric audit: {e}"));
     (evictions, fab.stats().contention_cycles)
@@ -348,4 +426,105 @@ fn paper_geometry_long_stream_agrees() {
         assert_eq!(soa.len(), aos.len());
         soa.audit().expect("cache audit");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out / fan-in batching
+// ---------------------------------------------------------------------------
+
+/// One random unicast on both fabrics, arrival compared.
+fn lockstep_send(rng: &mut DetRng, fab: &mut Fabric, rfab: &mut RefFabric, now: Cycle, ctx: &str) {
+    let nodes = fab.config().nodes();
+    let src = CoreId::new(rng.index(nodes));
+    let dst = CoreId::new(rng.index(nodes));
+    let kind = *rng.pick(&[MsgKind::Request, MsgKind::DataResponse, MsgKind::SnoopProbe]);
+    let got = fab.send(src, dst, kind, now);
+    let want = rfab.send(src, dst, kind, now);
+    assert_eq!(got, want, "{ctx}: send {src}->{dst} {kind:?}");
+}
+
+/// A random target set of one of the shapes the protocols produce: empty,
+/// just the source, random (with or without the source), or every node.
+fn target_set(rng: &mut DetRng, nodes: usize, src: CoreId) -> CoreSet {
+    let all = CoreSet::all(nodes);
+    match rng.index(5) {
+        0 => CoreSet::empty(),
+        1 => CoreSet::single(src),
+        2 => CoreSet::from_bits(rng.range(0, u64::MAX) & all.bits()),
+        3 => CoreSet::from_bits(rng.range(0, u64::MAX) & all.bits()).union(CoreSet::single(src)),
+        _ => all,
+    }
+}
+
+/// `fanout` against one reference `send` per target in ascending core
+/// order, and `fanin_untimed` against a `send_untimed` loop, on warmed
+/// fabrics (random unicasts first, so the VC slots hold arbitrary
+/// states), across the paper and 64-core geometries, rectangular and
+/// one-dimensional meshes, every VC count and both contention modes:
+/// every arrival, every `NocStats` field and every link's multiset of VC
+/// free times must agree. Unicasts interleaved after each burst read the
+/// slot state the burst left behind.
+#[test]
+fn fanout_and_fanin_match_per_message_sends() {
+    let geometries = [(4usize, 4usize), (8, 8), (5, 3), (1, 8), (8, 1)];
+    let mut contended = 0u64;
+    for case in 0..SEQUENCES {
+        let mut rng = case_rng(20, case);
+        let (width, height) = *rng.pick(&geometries);
+        let cfg = NocConfig {
+            width,
+            height,
+            virtual_channels: *rng.pick(&[1usize, 2, 4, 8]),
+            model_contention: case % 2 == 0,
+            ..NocConfig::default()
+        };
+        let ctx = format!(
+            "case {case} ({width}x{height}, {} VCs, contention {})",
+            cfg.virtual_channels, cfg.model_contention
+        );
+        let nodes = cfg.nodes();
+        let mut fab = Fabric::new(cfg.clone());
+        let mut rfab = RefFabric::new(cfg);
+        let mut now = Cycle::ZERO;
+        for _ in 0..rng.range(0, 120) {
+            now += rng.range(0, 3);
+            lockstep_send(&mut rng, &mut fab, &mut rfab, now, &ctx);
+        }
+        for round in 0..rng.range(1, 6) {
+            let ctx = format!("{ctx} round {round}");
+            now += rng.range(0, 8);
+            let src = CoreId::new(rng.index(nodes));
+            let targets = target_set(&mut rng, nodes, src);
+            let kind = *rng.pick(&[MsgKind::SnoopProbe, MsgKind::DataResponse]);
+            let mut got = Vec::new();
+            fab.fanout(src, targets, kind, now, |d, t| got.push((d, t)));
+            let want: Vec<(CoreId, Cycle)> = targets
+                .iter()
+                .map(|d| (d, rfab.send(src, d, kind, now)))
+                .collect();
+            assert_eq!(got, want, "{ctx}: fanout {src} -> {targets:?} {kind:?}");
+            assert_stats_eq(fab.stats(), &rfab.stats, &ctx);
+            assert_vc_multisets_eq(&fab, &rfab, &ctx);
+            fab.audit()
+                .unwrap_or_else(|e| panic!("{ctx}: fabric audit: {e}"));
+
+            let dst = CoreId::new(rng.index(nodes));
+            let sources = target_set(&mut rng, nodes, dst);
+            let kind = *rng.pick(&[MsgKind::SnoopResponse, MsgKind::DataResponse]);
+            fab.fanin_untimed(sources, dst, kind);
+            for s in sources.iter() {
+                rfab.send_untimed(s, dst, kind);
+            }
+            assert_stats_eq(fab.stats(), &rfab.stats, &format!("{ctx} fanin"));
+
+            for _ in 0..rng.range(0, 20) {
+                lockstep_send(&mut rng, &mut fab, &mut rfab, now, &ctx);
+            }
+        }
+        assert_stats_eq(fab.stats(), &rfab.stats, &ctx);
+        fab.audit()
+            .unwrap_or_else(|e| panic!("{ctx}: fabric audit: {e}"));
+        contended += fab.stats().contention_cycles;
+    }
+    assert!(contended > 0, "no fan-out case ever contended");
 }
