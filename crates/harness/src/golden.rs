@@ -2,9 +2,10 @@
 //!
 //! Snapshots are a line-based text format (documented in
 //! `docs/FORMATS.md`): one `[run …]` header per run followed by
-//! `field = value` lines. Only exactly reproducible quantities — integers
-//! and integer-derived moments — are snapshotted, so a golden file either
-//! matches bit-for-bit or the simulator's behavior changed.
+//! `field = value` lines. Only exactly reproducible quantities — integers,
+//! integer-derived moments and `f64` energies as their IEEE-754 bit
+//! patterns — are snapshotted, so a golden file either matches bit-for-bit
+//! or the simulator's behavior changed.
 //!
 //! Verification reads the file and compares strings; regeneration is gated
 //! behind the `UPDATE_GOLDEN=1` environment variable so CI can never
@@ -21,7 +22,7 @@ use crate::matrix::RunSpec;
 
 /// Magic first line of every golden file; bump the version when the field
 /// set changes so stale files fail loudly instead of diffing confusingly.
-pub const GOLDEN_HEADER: &str = "# spcp golden v1";
+pub const GOLDEN_HEADER: &str = "# spcp golden v2";
 
 /// Renders the snapshot of one run.
 pub fn snapshot_run(spec: &RunSpec, stats: &RunStats) -> String {
@@ -45,18 +46,27 @@ pub fn snapshot_run(spec: &RunSpec, stats: &RunStats) -> String {
     field("exec_cycles", stats.exec_cycles as u128);
     field("miss_latency_sum", stats.miss_latency.sum());
     field("miss_latency_count", stats.miss_latency.count() as u128);
+    field("comm_miss_latency_sum", stats.comm_miss_latency.sum());
+    field(
+        "comm_miss_latency_count",
+        stats.comm_miss_latency.count() as u128,
+    );
     field("noc_messages", stats.noc.messages as u128);
     field("noc_bytes_injected", stats.noc.bytes_injected as u128);
     field("noc_byte_hops", stats.noc.byte_hops as u128);
     field("noc_ctrl_byte_hops", stats.noc.ctrl_byte_hops as u128);
     field("noc_contention_cycles", stats.noc.contention_cycles as u128);
+    field("noc_energy_bits", stats.noc.energy.to_bits() as u128);
     field("snoop_probes", stats.snoop_probes as u128);
+    field("snoop_energy_bits", stats.snoop_energy.to_bits() as u128);
     field("predictions", stats.predictions as u128);
     field("pred_sufficient", stats.pred_sufficient as u128);
     field("pred_sufficient_comm", stats.pred_sufficient_comm as u128);
     field("pred_insufficient", stats.pred_insufficient as u128);
     field("indirections", stats.indirections as u128);
     field("predicted_set_sum", stats.predicted_set_sum as u128);
+    field("pred_overhead_comm", stats.pred_overhead_comm as u128);
+    field("pred_overhead_noncomm", stats.pred_overhead_noncomm as u128);
     field("actual_set_sum", stats.actual_set_sum as u128);
     field(
         "predictor_storage_bits",
