@@ -207,12 +207,6 @@ pub struct RunConfig {
     /// footnote's alternatives. SP's equivalent knob is
     /// [`SpConfig::max_hot_set`].
     pub set_policy: spcp_baselines::SetPolicy,
-    /// Audit protocol invariants after every coherence transaction (see
-    /// [`CmpSystem::run_workload_checked`](crate::CmpSystem::run_workload_checked)).
-    /// Only effective when the audits are compiled in (debug builds or
-    /// `--features invariants`); plain release builds ignore it so the hot
-    /// path carries no checking cost.
-    pub check_invariants: bool,
 }
 
 impl RunConfig {
@@ -230,14 +224,7 @@ impl RunConfig {
             logical_tracking: false,
             collect_trace: false,
             set_policy: spcp_baselines::SetPolicy::Group,
-            check_invariants: false,
         }
-    }
-
-    /// Enables the per-transaction invariant audits.
-    pub fn checking(mut self) -> Self {
-        self.check_invariants = true;
-        self
     }
 
     /// Enables epoch recording.

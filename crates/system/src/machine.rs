@@ -38,6 +38,35 @@ struct ThreadCtx {
     records: Vec<EpochRecord>,
 }
 
+impl ThreadCtx {
+    /// Closes the current epoch instance into `records` and leaves the
+    /// live counters zeroed; before the thread's first sync point there is
+    /// no instance, and the counters are just scrubbed.
+    fn close_epoch(&mut self) {
+        let Some(inst) = self.cur_epoch else {
+            self.cur_volumes.fill(0);
+            self.cur_targets.clear();
+            return;
+        };
+        // Only a communicating instance hands its counter buffer over to
+        // the record; the (common) silent epoch is stored with the
+        // empty-equals-all-zero convention and keeps the live buffer — no
+        // allocation.
+        let volumes = if self.cur_volumes.iter().any(|&v| v != 0) {
+            let zeroed = vec![0; self.cur_volumes.len()];
+            std::mem::replace(&mut self.cur_volumes, zeroed)
+        } else {
+            Vec::new()
+        };
+        self.records.push(EpochRecord {
+            id: inst.id,
+            instance: inst.instance,
+            volumes,
+            miss_targets: std::mem::take(&mut self.cur_targets),
+        });
+    }
+}
+
 /// What a thread is currently doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadStatus {
@@ -128,15 +157,18 @@ pub struct CmpSystem {
     /// Coherence transactions committed so far (invariant-violation
     /// reports cite this id).
     txn_counter: u64,
+    /// Audit protocol invariants after every coherence transaction; set
+    /// only by [`CmpSystem::run_workload_checked`], and only effective
+    /// when the audits are compiled in.
+    check_invariants: bool,
     /// First invariant violation observed, when auditing is enabled.
     violation: Option<InvariantViolation>,
 }
 
 /// A protocol invariant violation caught by the runtime audit layer.
 ///
-/// Produced by [`CmpSystem::run_workload_checked`] when the machine is run
-/// with `check_invariants` on (requires the audits to be compiled in — see
-/// [`invariants_compiled`](crate::invariants_compiled)).
+/// Produced by [`CmpSystem::run_workload_checked`] (requires the audits to
+/// be compiled in — see [`invariants_compiled`](crate::invariants_compiled)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
     /// Simulated cycle at which the violation was detected.
@@ -238,8 +270,20 @@ impl CmpSystem {
             },
             stats,
             txn_counter: 0,
+            check_invariants: false,
             violation: None,
         }
+    }
+
+    /// Builds the machine for `workload` under `cfg` and runs it to the
+    /// end (or to the first invariant violation, when `check_invariants`
+    /// is set): the shared body of the public entry points.
+    fn run_to_end(workload: &Workload, cfg: &RunConfig, check_invariants: bool) -> Self {
+        let mut sys = CmpSystem::new(cfg, workload.num_cores());
+        sys.check_invariants = check_invariants;
+        sys.stats.benchmark = workload.name().to_string();
+        sys.run(workload);
+        sys
     }
 
     /// Runs `workload` under `cfg` and returns the measurements.
@@ -249,10 +293,7 @@ impl CmpSystem {
     /// Panics if the workload deadlocks (malformed sync structure) or its
     /// core count does not match the machine.
     pub fn run_workload(workload: &Workload, cfg: &RunConfig) -> RunStats {
-        let mut sys = CmpSystem::new(cfg, workload.num_cores());
-        sys.stats.benchmark = workload.name().to_string();
-        sys.run(workload);
-        sys.into_stats()
+        Self::run_to_end(workload, cfg, false).into_stats()
     }
 
     /// Runs like [`run_workload`](CmpSystem::run_workload), additionally
@@ -262,9 +303,7 @@ impl CmpSystem {
     ///
     /// Panics if the final machine state violates coherence.
     pub fn run_workload_validated(workload: &Workload, cfg: &RunConfig) -> RunStats {
-        let mut sys = CmpSystem::new(cfg, workload.num_cores());
-        sys.stats.benchmark = workload.name().to_string();
-        sys.run(workload);
+        let sys = Self::run_to_end(workload, cfg, false);
         sys.validate_coherence();
         sys.into_stats()
     }
@@ -291,13 +330,7 @@ impl CmpSystem {
         workload: &Workload,
         cfg: &RunConfig,
     ) -> Result<RunStats, InvariantViolation> {
-        let cfg = RunConfig {
-            check_invariants: true,
-            ..cfg.clone()
-        };
-        let mut sys = CmpSystem::new(&cfg, workload.num_cores());
-        sys.stats.benchmark = workload.name().to_string();
-        sys.run(workload);
+        let mut sys = Self::run_to_end(workload, cfg, true);
         if let Some(v) = sys.violation.take() {
             return Err(v);
         }
@@ -584,31 +617,9 @@ impl CmpSystem {
     /// Epoch boundary bookkeeping + predictor notification for thread
     /// `th`. `prev_holder` is in logical-thread space.
     fn notify_sync(&mut self, th: usize, point: SyncPoint, prev_holder: Option<CoreId>) {
-        let record = self.cfg.record_epochs;
-        let n = self.dir.num_tiles();
         let ctx = &mut self.threads[th];
-        if record {
-            if let Some(inst) = ctx.cur_epoch {
-                // Only a communicating instance needs to hand its counter
-                // buffer over to the record; the (common) silent epoch is
-                // stored with the empty-equals-all-zero convention and the
-                // live buffer is scrubbed in place — no allocation.
-                let volumes = if ctx.cur_volumes.iter().any(|&v| v != 0) {
-                    std::mem::replace(&mut ctx.cur_volumes, vec![0; n])
-                } else {
-                    Vec::new()
-                };
-                ctx.cur_volumes.fill(0);
-                ctx.records.push(EpochRecord {
-                    id: inst.id,
-                    instance: inst.instance,
-                    volumes,
-                    miss_targets: std::mem::take(&mut ctx.cur_targets),
-                });
-            } else {
-                ctx.cur_volumes.fill(0);
-                ctx.cur_targets.clear();
-            }
+        if self.cfg.record_epochs {
+            ctx.close_epoch();
         }
         let tr = ctx.tracker.observe(point);
         ctx.cur_epoch = Some(tr.started);
@@ -763,16 +774,23 @@ impl CmpSystem {
         let miss = MissInfo::new(block, pc, kind);
         let completion = match self.proto {
             ProtoDispatch::Directory => {
-                if communicating {
-                    self.stats.indirections += 1;
-                }
-                self.directory_path(core, t0, block, kind, supplier, targets)
+                let none = CoreSet::empty();
+                self.count_prediction(none, false, communicating);
+                self.directory_resolve(core, t0, block, pc, kind, supplier, targets, none)
             }
             ProtoDispatch::Broadcast => {
-                self.broadcast_path(th, core, t0, block, pc, kind, supplier, targets)
+                // Probe everyone; the owner supplies, memory backs up.
+                let everyone = CoreSet::all(self.dir.num_tiles());
+                self.snoop_resolve(core, t0, block, pc, kind, supplier, targets, everyone)
             }
             ProtoDispatch::Predicted => {
-                self.predicted_path(th, core, t0, block, pc, kind, supplier, targets, &miss)
+                let pset = self.consult_predictor(th, core, &miss, communicating);
+                let sufficient = !pset.is_empty() && pset.is_superset(targets);
+                self.count_prediction(pset, sufficient, communicating);
+                let completion =
+                    self.directory_resolve(core, t0, block, pc, kind, supplier, targets, pset);
+                self.train_predictor(th, &miss, targets, pset, sufficient);
+                completion
             }
             ProtoDispatch::MulticastSnoop => {
                 self.multicast_path(th, core, t0, block, pc, kind, supplier, targets, &miss)
@@ -812,7 +830,7 @@ impl CmpSystem {
 
         self.txn_counter += 1;
         #[cfg(any(debug_assertions, feature = "invariants"))]
-        if self.cfg.check_invariants && self.violation.is_none() {
+        if self.check_invariants && self.violation.is_none() {
             self.audit_transaction(completion, block);
         }
 
@@ -879,73 +897,141 @@ impl CmpSystem {
         );
     }
 
-    /// Baseline directory MESIF timing. Also used as the repair path for
-    /// mispredictions (the directory proceeds as normal, §4.5).
-    fn directory_path(
+    /// Counts one miss's prediction outcome, the same rule for every
+    /// protocol: a non-empty `pset` counts a prediction (sufficient or
+    /// not), and a communicating miss either was resolved by its
+    /// sufficient prediction or paid the indirection. The directory
+    /// protocol is the case of an empty `pset`, which is never sufficient.
+    fn count_prediction(&mut self, pset: CoreSet, sufficient: bool, communicating: bool) {
+        let stats = &mut self.stats;
+        if !pset.is_empty() {
+            stats.predictions += 1;
+            stats.predicted_set_sum += pset.len() as u64;
+            if sufficient {
+                stats.pred_sufficient += 1;
+            } else {
+                stats.pred_insufficient += 1;
+            }
+        }
+        if communicating {
+            if sufficient {
+                stats.pred_sufficient_comm += 1;
+            } else {
+                stats.indirections += 1;
+            }
+        }
+    }
+
+    /// Directory-ordered MESIF timing with the §4.5 prediction overlay.
+    ///
+    /// Every core in `pset` receives a predicted request racing the
+    /// directory request; a predicted owner or sharer replies to the
+    /// requester directly, a wrongly predicted core replies with a Nack.
+    /// The directory forwards to, or invalidates, every owner or sharer
+    /// the prediction missed, at baseline latency (its request was already
+    /// in flight). Baseline directory timing is the case of an empty
+    /// `pset`.
+    #[allow(clippy::too_many_arguments)]
+    fn directory_resolve(
         &mut self,
         core: CoreId,
         t0: Cycle,
         block: BlockAddr,
+        pc: u32,
         kind: AccessKind,
         owner: Option<CoreId>,
         targets: CoreSet,
+        pset: CoreSet,
     ) -> Cycle {
+        let communicating = !targets.is_empty();
+        let exclusive = kind.is_exclusive();
         let home = self.dir.home_of(block);
         let l2_lat = self.cfg.machine.l2.tag_cycles + self.cfg.machine.l2.data_cycles;
+        let tag_lat = self.cfg.machine.l2.tag_cycles;
+
+        for p in pset.iter() {
+            let t_arr = self.fabric.send(core, p, MsgKind::PredictedRequest, t0);
+            self.account_pred_overhead(core, p, MsgKind::PredictedRequest, communicating);
+            self.arrival.set(p, t_arr);
+            self.probe_remote(p, block, core, pc);
+        }
         let t_dir =
             self.fabric.send(core, home, MsgKind::Request, t0) + self.cfg.machine.dir_latency;
-        match kind {
-            AccessKind::Read => match owner {
-                Some(o) if o != core => {
+
+        // Exclusive requests always complete only after the directory's
+        // response (§4.5); a read completes with its data.
+        let mut completion = if exclusive {
+            self.fabric
+                .send(home, core, MsgKind::ControlResponse, t_dir)
+        } else {
+            t0
+        };
+        // Data supply.
+        match owner {
+            Some(o) if o != core => {
+                let t_data = if pset.contains(o) {
+                    // 2-hop cache-to-cache transfer; a read's supplier also
+                    // updates the directory off the critical path.
+                    let t_arr = self.arrival.get(o);
+                    let t_data = self
+                        .fabric
+                        .send(o, core, MsgKind::DataResponse, t_arr + l2_lat);
+                    if !exclusive {
+                        self.fabric.send(o, home, MsgKind::DirectoryUpdate, t_data);
+                        self.account_pred_overhead(o, home, MsgKind::DirectoryUpdate, true);
+                    }
+                    t_data
+                } else {
                     let t_fwd = self.fabric.send(home, o, MsgKind::Forward, t_dir);
                     self.probe_remote(o, block, core, 0);
                     self.fabric
                         .send(o, core, MsgKind::DataResponse, t_fwd + l2_lat)
+                };
+                completion = completion.max(t_data);
+            }
+            _ if kind != AccessKind::Upgrade => {
+                let t_mem = t_dir + self.cfg.machine.mem_latency;
+                let t_data = self.fabric.send(home, core, MsgKind::DataResponse, t_mem);
+                completion = completion.max(t_data);
+            }
+            _ => {}
+        }
+        // Invalidations to the remaining sharers (the owner's data doubles
+        // as its invalidation): a predicted sharer is invalidated directly,
+        // the directory invalidates the rest.
+        if exclusive {
+            for s in targets.iter() {
+                if Some(s) == owner {
+                    continue;
                 }
-                _ => {
-                    let t_mem = t_dir + self.cfg.machine.mem_latency;
-                    self.fabric.send(home, core, MsgKind::DataResponse, t_mem)
-                }
-            },
-            AccessKind::Write | AccessKind::Upgrade => {
-                let mut completion = self
-                    .fabric
-                    .send(home, core, MsgKind::ControlResponse, t_dir);
-                // Data supply.
-                match owner {
-                    Some(o) if o != core => {
-                        let t_fwd = self.fabric.send(home, o, MsgKind::Forward, t_dir);
-                        self.probe_remote(o, block, core, 0);
-                        let t_data =
-                            self.fabric
-                                .send(o, core, MsgKind::DataResponse, t_fwd + l2_lat);
-                        completion = completion.max(t_data);
-                    }
-                    _ if kind == AccessKind::Write => {
-                        let t_mem = t_dir + self.cfg.machine.mem_latency;
-                        let t_data = self.fabric.send(home, core, MsgKind::DataResponse, t_mem);
-                        completion = completion.max(t_data);
-                    }
-                    _ => {}
-                }
-                // Invalidations to the remaining sharers.
-                for s in targets.iter() {
-                    if Some(s) == owner {
-                        continue; // the forward doubles as its invalidation
-                    }
+                let t_probe = if pset.contains(s) {
+                    self.arrival.get(s)
+                } else {
                     let t_inv = self.fabric.send(home, s, MsgKind::Invalidate, t_dir);
                     self.probe_remote(s, block, core, 0);
-                    let t_ack = self.fabric.send(
-                        s,
-                        core,
-                        MsgKind::InvalidateAck,
-                        t_inv + self.cfg.machine.l2.tag_cycles,
-                    );
-                    completion = completion.max(t_ack);
-                }
-                completion
+                    t_inv
+                };
+                let t_ack = self
+                    .fabric
+                    .send(s, core, MsgKind::InvalidateAck, t_probe + tag_lat);
+                completion = completion.max(t_ack);
             }
         }
+
+        // Wrongly-predicted nodes reply with Nacks (bandwidth only).
+        for p in pset.iter() {
+            let supplies = if exclusive {
+                targets.contains(p)
+            } else {
+                owner == Some(p)
+            };
+            if !supplies {
+                let t_arr = self.arrival.get(p);
+                self.fabric.send(p, core, MsgKind::Nack, t_arr);
+                self.account_pred_overhead(p, core, MsgKind::Nack, communicating);
+            }
+        }
+        completion
     }
 
     /// Probes `probe_set` snoop-style from the requester and resolves the
@@ -962,7 +1048,6 @@ impl CmpSystem {
         owner: Option<CoreId>,
         targets: CoreSet,
         probe_set: CoreSet,
-        probe_kind: MsgKind,
     ) -> Cycle {
         let home = self.dir.home_of(block);
         let l2_lat = self.cfg.machine.l2.tag_cycles + self.cfg.machine.l2.data_cycles;
@@ -971,9 +1056,11 @@ impl CmpSystem {
         let probed = probe_set.difference(CoreSet::single(core));
         let arrival = &mut self.arrival;
         self.fabric
-            .fanout(core, probed, probe_kind, t0, |dst, t| arrival.set(dst, t));
+            .fanout(core, probed, MsgKind::SnoopProbe, t0, |dst, t| {
+                arrival.set(dst, t)
+            });
         for dst in probed.iter() {
-            self.probe_remote_with_pc(dst, block, core, pc);
+            self.probe_remote(dst, block, core, pc);
         }
         let mut completion = t0;
         match owner {
@@ -989,7 +1076,7 @@ impl CmpSystem {
                     self.arrival.get(home)
                 } else {
                     // Memory fallback needs the home even if unprobed.
-                    self.fabric.send(core, home, probe_kind, t0)
+                    self.fabric.send(core, home, MsgKind::SnoopProbe, t0)
                 };
                 let t_mem = t_probe_home + self.cfg.machine.mem_latency;
                 let t_data = self.fabric.send(home, core, MsgKind::DataResponse, t_mem);
@@ -1025,34 +1112,6 @@ impl CmpSystem {
         completion
     }
 
-    /// Broadcast-snoop timing: probe everyone, owner supplies, memory backs
-    /// up.
-    #[allow(clippy::too_many_arguments)]
-    fn broadcast_path(
-        &mut self,
-        _th: usize,
-        core: CoreId,
-        t0: Cycle,
-        block: BlockAddr,
-        pc: u32,
-        kind: AccessKind,
-        owner: Option<CoreId>,
-        targets: CoreSet,
-    ) -> Cycle {
-        let everyone = CoreSet::all(self.dir.num_tiles());
-        self.snoop_resolve(
-            core,
-            t0,
-            block,
-            pc,
-            kind,
-            owner,
-            targets,
-            everyone,
-            MsgKind::SnoopProbe,
-        )
-    }
-
     /// Prediction-driven multicast snooping: probe the predicted set plus
     /// the home; on insufficiency the ordering point detects it and a
     /// second-phase broadcast repairs (latency penalty + full probe cost).
@@ -1077,43 +1136,18 @@ impl CmpSystem {
         // fallback); prediction adds the likely owners/sharers.
         let mut probe_set = pset.union(CoreSet::single(home));
         probe_set.remove(core);
-        let sufficient = probe_set.is_superset(targets);
-
-        if !pset.is_empty() {
-            self.stats.predictions += 1;
-            self.stats.predicted_set_sum += pset.len() as u64;
-            if sufficient {
-                self.stats.pred_sufficient += 1;
-            } else {
-                self.stats.pred_insufficient += 1;
-            }
-        }
         // A sufficient multicast (including the always-probed home lucking
         // into the target) resolves without a second phase: the
         // communicating miss avoided the repair indirection.
-        if sufficient && communicating {
-            self.stats.pred_sufficient_comm += 1;
-        }
+        let sufficient = probe_set.is_superset(targets);
+        self.count_prediction(pset, sufficient, communicating);
 
         let completion = if sufficient {
-            self.snoop_resolve(
-                core,
-                t0,
-                block,
-                pc,
-                kind,
-                owner,
-                targets,
-                probe_set,
-                MsgKind::SnoopProbe,
-            )
+            self.snoop_resolve(core, t0, block, pc, kind, owner, targets, probe_set)
         } else {
             // Phase 1 probes miss the owner/sharers; the ordering point
             // (home) detects insufficiency after its probe arrives and
             // audits, then a full broadcast restarts the transaction.
-            if communicating {
-                self.stats.indirections += 1;
-            }
             let _phase1 = self.snoop_resolve(
                 core,
                 t0,
@@ -1123,183 +1157,17 @@ impl CmpSystem {
                 None,             // nobody supplies in phase 1
                 CoreSet::empty(),
                 probe_set,
-                MsgKind::SnoopProbe,
             );
             let t_detect =
                 self.fabric.send(core, home, MsgKind::Request, t0) + self.cfg.machine.dir_latency;
             let retry = self.fabric.send(home, core, MsgKind::Nack, t_detect);
             let everyone = CoreSet::all(self.dir.num_tiles());
-            self.snoop_resolve(
-                core,
-                retry,
-                block,
-                pc,
-                kind,
-                owner,
-                targets,
-                everyone,
-                MsgKind::SnoopProbe,
-            )
+            self.snoop_resolve(core, retry, block, pc, kind, owner, targets, everyone)
         };
 
         if !pset.is_empty() || communicating {
             self.train_predictor(th, miss, targets, pset, sufficient && !pset.is_empty());
         }
-        completion
-    }
-
-    /// The §4.5 prediction-augmented directory path.
-    #[allow(clippy::too_many_arguments)]
-    fn predicted_path(
-        &mut self,
-        th: usize,
-        core: CoreId,
-        t0: Cycle,
-        block: BlockAddr,
-        pc: u32,
-        kind: AccessKind,
-        owner: Option<CoreId>,
-        targets: CoreSet,
-        miss: &MissInfo,
-    ) -> Cycle {
-        let communicating = !targets.is_empty();
-        let pset = self.consult_predictor(th, core, miss, communicating);
-        let sufficient = !pset.is_empty() && pset.is_superset(targets);
-
-        if pset.is_empty() {
-            if communicating {
-                self.stats.indirections += 1;
-            }
-            let completion = self.directory_path(core, t0, block, kind, owner, targets);
-            self.train_predictor(th, miss, targets, CoreSet::empty(), false);
-            return completion;
-        }
-
-        self.stats.predictions += 1;
-        self.stats.predicted_set_sum += pset.len() as u64;
-        if sufficient {
-            self.stats.pred_sufficient += 1;
-            if communicating {
-                self.stats.pred_sufficient_comm += 1;
-            }
-        } else {
-            self.stats.pred_insufficient += 1;
-        }
-        if communicating && !sufficient {
-            self.stats.indirections += 1;
-        }
-
-        let home = self.dir.home_of(block);
-        let l2_lat = self.cfg.machine.l2.tag_cycles + self.cfg.machine.l2.data_cycles;
-
-        // Predicted requests race the directory request.
-        for p in pset.iter() {
-            let t_arr = self.fabric.send(core, p, MsgKind::PredictedRequest, t0);
-            self.account_pred_overhead(core, p, MsgKind::PredictedRequest, communicating);
-            self.arrival.set(p, t_arr);
-            self.probe_remote_with_pc(p, block, core, pc);
-        }
-        let t_dir =
-            self.fabric.send(core, home, MsgKind::Request, t0) + self.cfg.machine.dir_latency;
-
-        let completion = match kind {
-            AccessKind::Read => match owner {
-                Some(o) if o != core => {
-                    if pset.contains(o) {
-                        // 2-hop cache-to-cache transfer; the supplier also
-                        // updates the directory off the critical path.
-                        let t_arr = self.arrival.get(o);
-                        let t_data =
-                            self.fabric
-                                .send(o, core, MsgKind::DataResponse, t_arr + l2_lat);
-                        self.fabric.send(o, home, MsgKind::DirectoryUpdate, t_data);
-                        self.account_pred_overhead(o, home, MsgKind::DirectoryUpdate, true);
-                        t_data
-                    } else {
-                        // Misprediction: the directory repairs at baseline
-                        // latency (its request was already in flight).
-                        let t_fwd = self.fabric.send(home, o, MsgKind::Forward, t_dir);
-                        self.probe_remote(o, block, core, 0);
-                        self.fabric
-                            .send(o, core, MsgKind::DataResponse, t_fwd + l2_lat)
-                    }
-                }
-                _ => {
-                    let t_mem = t_dir + self.cfg.machine.mem_latency;
-                    self.fabric.send(home, core, MsgKind::DataResponse, t_mem)
-                }
-            },
-            AccessKind::Write | AccessKind::Upgrade => {
-                // Exclusive requests always complete only after the
-                // directory's response (§4.5).
-                let mut completion = self
-                    .fabric
-                    .send(home, core, MsgKind::ControlResponse, t_dir);
-                match owner {
-                    Some(o) if o != core => {
-                        let t_data = if pset.contains(o) {
-                            let t_arr = self.arrival.get(o);
-                            self.fabric
-                                .send(o, core, MsgKind::DataResponse, t_arr + l2_lat)
-                        } else {
-                            let t_fwd = self.fabric.send(home, o, MsgKind::Forward, t_dir);
-                            self.probe_remote(o, block, core, 0);
-                            self.fabric
-                                .send(o, core, MsgKind::DataResponse, t_fwd + l2_lat)
-                        };
-                        completion = completion.max(t_data);
-                    }
-                    _ if kind == AccessKind::Write => {
-                        let t_mem = t_dir + self.cfg.machine.mem_latency;
-                        let t_data = self.fabric.send(home, core, MsgKind::DataResponse, t_mem);
-                        completion = completion.max(t_data);
-                    }
-                    _ => {}
-                }
-                for s in targets.iter() {
-                    if Some(s) == owner {
-                        continue;
-                    }
-                    let t_ack = if pset.contains(s) {
-                        // Correctly predicted sharer: invalidated directly.
-                        self.fabric.send(
-                            s,
-                            core,
-                            MsgKind::InvalidateAck,
-                            self.arrival.get(s) + self.cfg.machine.l2.tag_cycles,
-                        )
-                    } else {
-                        // The directory invalidates the sharers that were
-                        // not predicted.
-                        let t_inv = self.fabric.send(home, s, MsgKind::Invalidate, t_dir);
-                        self.probe_remote(s, block, core, 0);
-                        self.fabric.send(
-                            s,
-                            core,
-                            MsgKind::InvalidateAck,
-                            t_inv + self.cfg.machine.l2.tag_cycles,
-                        )
-                    };
-                    completion = completion.max(t_ack);
-                }
-                completion
-            }
-        };
-
-        // Wrongly-predicted nodes reply with Nacks (bandwidth only).
-        for p in pset.iter() {
-            let supplies = match kind {
-                AccessKind::Read => owner == Some(p),
-                _ => targets.contains(p),
-            };
-            if !supplies {
-                let t_arr = self.arrival.get(p);
-                self.fabric.send(p, core, MsgKind::Nack, t_arr);
-                self.account_pred_overhead(p, core, MsgKind::Nack, communicating);
-            }
-        }
-
-        self.train_predictor(th, miss, targets, pset, sufficient);
         completion
     }
 
@@ -1322,12 +1190,8 @@ impl CmpSystem {
     }
 
     /// An external request probes a remote L2: snoop energy plus predictor
-    /// observation.
+    /// observation. Directory forwards and invalidations carry no PC (0).
     fn probe_remote(&mut self, node: CoreId, block: BlockAddr, requester: CoreId, pc: u32) {
-        self.probe_remote_with_pc(node, block, requester, pc);
-    }
-
-    fn probe_remote_with_pc(&mut self, node: CoreId, block: BlockAddr, requester: CoreId, pc: u32) {
         self.stats.snoop_probes += 1;
         self.stats.snoop_energy += self.cfg.machine.snoop_probe_energy;
         let miss = MissInfo::new(block, pc, AccessKind::Read);
@@ -1419,19 +1283,7 @@ impl CmpSystem {
         // Flush the trailing epoch records.
         if self.cfg.record_epochs {
             for ctx in &mut self.threads {
-                if let Some(inst) = ctx.cur_epoch {
-                    let volumes = if ctx.cur_volumes.iter().any(|&v| v != 0) {
-                        std::mem::take(&mut ctx.cur_volumes)
-                    } else {
-                        Vec::new()
-                    };
-                    ctx.records.push(EpochRecord {
-                        id: inst.id,
-                        instance: inst.instance,
-                        volumes,
-                        miss_targets: std::mem::take(&mut ctx.cur_targets),
-                    });
-                }
+                ctx.close_epoch();
             }
         }
         let mut stats = self.stats;
@@ -1833,8 +1685,7 @@ mod tests {
     fn audit_detects_corrupted_cache_state() {
         let w = suite::x264().generate(16, 7);
         let cfg = RunConfig::new(machine(), ProtocolKind::Directory);
-        let mut sys = CmpSystem::new(&cfg, w.num_cores());
-        sys.run(&w);
+        let mut sys = CmpSystem::run_to_end(&w, &cfg, false);
         // Find a block shared by at least two caches and silently flip one
         // copy to Modified — a state the protocol could never produce.
         let (block, victim) = sys

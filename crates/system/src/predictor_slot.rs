@@ -43,17 +43,6 @@ pub enum PredictorSlot {
 }
 
 impl PredictorSlot {
-    /// Instantiates the predictor `kind` for core `me` with the group
-    /// policy.
-    pub fn build(
-        kind: &PredictorKind,
-        me: CoreId,
-        num_cores: usize,
-        locks: &SharedLockTable,
-    ) -> Self {
-        Self::build_with_policy(kind, me, num_cores, locks, spcp_baselines::SetPolicy::Group)
-    }
-
     /// Instantiates the predictor `kind` for core `me` under the given
     /// destination-set policy (applies to the comparison predictors; SP and
     /// the oracle are unaffected).
@@ -91,11 +80,6 @@ impl PredictorSlot {
                 active: CoreSet::empty(),
             },
         }
-    }
-
-    /// Whether any prediction scheme is active.
-    pub fn is_some(&self) -> bool {
-        !matches!(self, PredictorSlot::None)
     }
 
     /// Predicts targets for a miss.
@@ -187,6 +171,7 @@ impl PredictorSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spcp_baselines::SetPolicy;
     use spcp_core::{shared_lock_table, AccessKind, SpConfig};
     use spcp_mem::BlockAddr;
     use spcp_sync::StaticSyncId;
@@ -198,7 +183,6 @@ mod tests {
     #[test]
     fn none_slot_never_predicts() {
         let mut s = PredictorSlot::None;
-        assert!(!s.is_some());
         assert!(s.predict(&miss()).is_empty());
         assert_eq!(s.storage_bits(), 0);
         assert!(s.sp_stats().is_none());
@@ -218,8 +202,8 @@ mod tests {
             PredictorKind::Uni,
         ];
         for k in kinds {
-            let slot = PredictorSlot::build(&k, me, 16, &locks);
-            assert!(slot.is_some(), "{}", k.name());
+            let slot = PredictorSlot::build_with_policy(&k, me, 16, &locks, SetPolicy::Group);
+            assert!(!matches!(slot, PredictorSlot::None), "{}", k.name());
         }
     }
 
@@ -240,8 +224,13 @@ mod tests {
         }]];
         let book = OracleBook::from_records(&records, 0.1);
         let locks = shared_lock_table(2);
-        let mut slot =
-            PredictorSlot::build(&PredictorKind::Oracle(book), CoreId::new(0), 16, &locks);
+        let mut slot = PredictorSlot::build_with_policy(
+            &PredictorKind::Oracle(book),
+            CoreId::new(0),
+            16,
+            &locks,
+            SetPolicy::Group,
+        );
         slot.on_sync_point(SyncPoint::barrier(StaticSyncId::new(1)), None);
         assert_eq!(slot.predict(&miss()), CoreSet::single(CoreId::new(9)));
         // Second instance was never recorded -> empty prediction.
@@ -252,7 +241,13 @@ mod tests {
     #[test]
     fn sp_slot_exposes_stats() {
         let locks = shared_lock_table(2);
-        let slot = PredictorSlot::build(&PredictorKind::sp_default(), CoreId::new(0), 16, &locks);
+        let slot = PredictorSlot::build_with_policy(
+            &PredictorKind::sp_default(),
+            CoreId::new(0),
+            16,
+            &locks,
+            SetPolicy::Group,
+        );
         assert!(slot.sp_stats().is_some());
     }
 }

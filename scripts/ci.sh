@@ -34,6 +34,9 @@ step "full workspace build + tests (bench binaries, CLI, golden checks)"
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
 
+step "benchmark build (perfbench links the public crate API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 step "golden snapshot verify"
 cargo test -q --offline --test golden_regression
 
