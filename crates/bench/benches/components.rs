@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the core data structures: predictor operations (the
 //! per-miss and per-sync-point costs the paper's §5.5 power argument rests
-//! on), cache lookups, and NoC routing.
+//! on), cache lookups, NoC routing, the trace codec and the race analyzer.
 //!
 //! Uses the dependency-free `spcp_bench::timing` runner so the workspace
 //! builds offline. Run with `cargo bench -p spcp-bench --bench components`.
@@ -17,6 +17,8 @@ use spcp_mem::{BlockAddr, CacheConfig, SetAssocCache};
 use spcp_noc::{Fabric, Mesh, MsgKind, NocConfig};
 use spcp_sim::{CoreId, CoreSet, Cycle};
 use spcp_sync::{EpochId, StaticSyncId, SyncKind, SyncPoint};
+use spcp_system::{CmpSystem, MachineConfig, ProtocolKind, RunConfig};
+use spcp_trace::TraceEvent;
 
 fn miss(i: u64) -> MissInfo {
     MissInfo::new(
@@ -248,10 +250,43 @@ fn bench_noc() {
     }
 }
 
+/// `bench`'s trace at seed 7 on `machine` under the directory protocol.
+fn real_trace(bench: &str, machine: MachineConfig) -> Vec<TraceEvent> {
+    let workload = spcp_workloads::suite::by_name(bench)
+        .expect("suite benchmark")
+        .generate(machine.num_cores, 7);
+    let cfg = RunConfig::new(machine, ProtocolKind::Directory).tracing();
+    CmpSystem::run_workload(&workload, &cfg).trace
+}
+
+fn mesh_8x8() -> MachineConfig {
+    let mut m = MachineConfig::paper_16core();
+    m.num_cores = 64;
+    m.noc = NocConfig {
+        width: 8,
+        height: 8,
+        ..NocConfig::default()
+    };
+    m
+}
+
+fn bench_codec_pair(label: &str, events: &[TraceEvent]) {
+    timing::bench(&format!("write_1k_{label}"), || {
+        let mut buf = Vec::with_capacity(64 * 1024);
+        spcp_trace::write_trace(&mut buf, events).expect("in-memory write");
+        black_box(buf)
+    });
+    let mut encoded = Vec::new();
+    spcp_trace::write_trace(&mut encoded, events).unwrap();
+    timing::bench(&format!("read_1k_{label}"), || {
+        black_box(spcp_trace::read_trace(encoded.as_slice()).expect("parse"))
+    });
+}
+
 fn bench_trace_codec() {
     timing::group("trace_codec");
-    let events: Vec<spcp_trace::TraceEvent> = (0..1000)
-        .map(|i| spcp_trace::TraceEvent::Miss {
+    let misses: Vec<TraceEvent> = (0..1000)
+        .map(|i| TraceEvent::Miss {
             core: CoreId::new(i % 16),
             block: spcp_mem::BlockAddr::from_index(i as u64 * 7),
             pc: (i as u32) * 4,
@@ -259,16 +294,33 @@ fn bench_trace_codec() {
             targets: CoreSet::from_bits((i as u64) % 65536),
         })
         .collect();
-    timing::bench("write_1k_events", || {
-        let mut buf = Vec::with_capacity(32 * 1024);
-        spcp_trace::write_trace(&mut buf, &events).expect("in-memory write");
-        black_box(buf)
-    });
-    let mut encoded = Vec::new();
-    spcp_trace::write_trace(&mut encoded, &events).unwrap();
-    timing::bench("read_1k_events", || {
-        black_box(spcp_trace::read_trace(encoded.as_slice()).expect("parse"))
-    });
+    bench_codec_pair("events", &misses);
+    // Misses and sync points as a run records them: 1000 events from the
+    // middle of a lock- and barrier-heavy trace.
+    let trace = real_trace("fluidanimate", MachineConfig::paper_16core());
+    let mid = trace.len() / 2;
+    let mixed = &trace[mid..mid + 1000];
+    let syncs = mixed
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Sync { .. }))
+        .count();
+    println!("  (mixed: {syncs} sync points in 1000 events)");
+    bench_codec_pair("mixed", mixed);
+}
+
+fn bench_race_analysis() {
+    timing::group("race_analysis");
+    for (name, cores, trace) in [
+        (
+            "race_16core",
+            16,
+            real_trace("fluidanimate", MachineConfig::paper_16core()),
+        ),
+        ("race_64core", 64, real_trace("bodytrack", mesh_8x8())),
+    ] {
+        println!("  ({name}: {} events)", trace.len());
+        timing::bench_samples(name, 10, || spcp_verify::analyze_races(cores, &trace));
+    }
 }
 
 fn bench_workload_tools() {
@@ -312,6 +364,7 @@ fn main() {
     bench_cache();
     bench_noc();
     bench_trace_codec();
+    bench_race_analysis();
     bench_workload_tools();
     bench_flit_network();
 }

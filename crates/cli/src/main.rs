@@ -401,12 +401,32 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads the trace at `path` for a `cores`-core machine, refusing a trace
+/// that names a core (issuer or miss target) the machine does not have.
+fn read_trace_for(path: &str, cores: usize) -> Result<Vec<spcp_trace::TraceEvent>, String> {
+    let max = spcp_sim::CoreSet::MAX_CORES;
+    if !(1..=max).contains(&cores) {
+        return Err(format!("--cores must be 1..={max}, got {cores}"));
+    }
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let events = spcp_trace::read_trace(file).map_err(|e| format!("{path}: {e}"))?;
+    if let Some((i, core)) = spcp_trace::first_core_out_of_range(&events, cores) {
+        return Err(format!(
+            "{path}: event {} names core {}, but --cores is {cores}; \
+             pass the core count of the machine that recorded the trace \
+             (at least --cores {})",
+            i + 1,
+            core.index(),
+            core.index() + 1
+        ));
+    }
+    Ok(events)
+}
+
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     let path = args.opt("trace").ok_or("analyze requires --trace <file>")?;
     let cores: usize = args.opt_parse("cores", 16)?;
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let events =
-        spcp_trace::read_trace(std::io::BufReader::new(file)).map_err(|e| format!("{e}"))?;
+    let events = read_trace_for(path, cores)?;
     let a = spcp_trace::TraceAnalyzer::from_events(cores, &events);
     println!("events               {}", events.len());
     println!("L2 misses            {}", a.total_misses());
@@ -517,9 +537,7 @@ fn cmd_check_model(args: &Args) -> Result<(), String> {
 /// trace.
 fn cmd_check_trace(args: &Args, path: &str) -> Result<(), String> {
     let cores: usize = args.opt_parse("cores", 16)?;
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let events =
-        spcp_trace::read_trace(std::io::BufReader::new(file)).map_err(|e| format!("{e}"))?;
+    let events = read_trace_for(path, cores)?;
     let report = analyze_races(cores, &events);
     println!("{path}: {}", report.summary());
     if report.is_clean() {
@@ -925,6 +943,76 @@ end
         );
         let err = dispatch(&a).unwrap_err();
         assert!(err.contains("unordered"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Writes `events` to a fresh temporary trace file named after `tag`.
+    fn temp_trace(tag: &str, events: &[spcp_trace::TraceEvent]) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("spcp-cli-{tag}-{}.trace", std::process::id()));
+        let mut buf = Vec::new();
+        spcp_trace::write_trace(&mut buf, events).unwrap();
+        std::fs::write(&path, &buf).unwrap();
+        path
+    }
+
+    fn run_cli(line: &str) -> Result<(), String> {
+        dispatch(&Args::parse(line.split_whitespace().map(String::from)))
+    }
+
+    #[test]
+    fn trace_commands_reject_cores_beyond_the_machine() {
+        use spcp_core::AccessKind;
+        use spcp_sim::{CoreId, CoreSet};
+        // A 64-core trace read with the default `--cores 16`: first an
+        // issuing core out of range, then only a miss target.
+        let issuer = temp_trace(
+            "issuer64",
+            &[spcp_trace::TraceEvent::Miss {
+                core: CoreId::new(40),
+                block: spcp_mem::BlockAddr::from_index(5),
+                pc: 0,
+                kind: AccessKind::Write,
+                targets: CoreSet::empty(),
+            }],
+        );
+        let target = temp_trace(
+            "target64",
+            &[spcp_trace::TraceEvent::Miss {
+                core: CoreId::new(2),
+                block: spcp_mem::BlockAddr::from_index(5),
+                pc: 0,
+                kind: AccessKind::Read,
+                targets: CoreSet::single(CoreId::new(63)),
+            }],
+        );
+        for (path, core) in [(&issuer, 40), (&target, 63)] {
+            for cmd in ["analyze", "check"] {
+                let err = run_cli(&format!("{cmd} --trace {}", path.display())).unwrap_err();
+                assert!(err.contains(&format!("core {core}")), "{cmd}: {err}");
+                assert!(err.contains("--cores is 16"), "{cmd}: {err}");
+            }
+            // The recording machine's core count reads it fine.
+            assert!(run_cli(&format!("analyze --trace {} --cores 64", path.display())).is_ok());
+            assert!(run_cli(&format!("check --trace {} --cores 64", path.display())).is_ok());
+        }
+        let err = run_cli(&format!("check --trace {} --cores 0", issuer.display())).unwrap_err();
+        assert!(err.contains("--cores"), "{err}");
+        let _ = std::fs::remove_file(issuer);
+        let _ = std::fs::remove_file(target);
+    }
+
+    #[test]
+    fn trace_commands_report_malformed_lines() {
+        let path = std::env::temp_dir().join(format!("spcp-cli-bad-{}.trace", std::process::id()));
+        std::fs::write(&path, "M 0 1 0 R 0\nM 99 1 0 R 0\n").unwrap();
+        for cmd in ["analyze", "check"] {
+            let err = run_cli(&format!("{cmd} --trace {}", path.display())).unwrap_err();
+            assert!(
+                err.contains("line 2") && err.contains("bad core"),
+                "{cmd}: {err}"
+            );
+        }
         let _ = std::fs::remove_file(path);
     }
 

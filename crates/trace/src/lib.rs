@@ -43,4 +43,4 @@ pub mod event;
 
 pub use analyze::{EpochSummary, TraceAnalyzer};
 pub use codec::{read_trace, write_trace, ParseTraceError};
-pub use event::TraceEvent;
+pub use event::{first_core_out_of_range, TraceEvent};

@@ -48,6 +48,9 @@ cargo test -q --offline --features invariants --test soa_equivalence
 step "lockstep smoke with optimizations on (layout bugs surface in release)"
 cargo test -q --release --offline --test soa_equivalence
 
+step "trace codec and race analyzer against their reference ports, optimized"
+cargo test --release --offline --test trace_equivalence
+
 step "streamed sweep smoke: spool to disk, golden-verify, idle resume"
 SPOOL="$(mktemp -d)"
 trap 'rm -rf "$SPOOL"' EXIT
@@ -71,6 +74,21 @@ cargo run --release --offline -p spcp-cli -- sweep \
     --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 \
     --out "$SPOOL/kill" --resume --golden "$SPOOL/kill.golden"
 cmp "$SPOOL/sweep.golden" "$SPOOL/kill.golden"
+
+step "trace pipeline smoke: record, characterize and race-check a trace file"
+cargo run --release --offline -p spcp-cli -- trace --bench fft --out "$SPOOL/fft.trace"
+cargo run --release --offline -p spcp-cli -- analyze --trace "$SPOOL/fft.trace"
+# fft's trace has known unordered communication pairs: `check` must list
+# them and exit with status 1.
+CHECK_STATUS=0
+cargo run --release --offline -q -p spcp-cli -- check --trace "$SPOOL/fft.trace" \
+    > "$SPOOL/fft.check" 2>&1 || CHECK_STATUS=$?
+if [ "$CHECK_STATUS" -ne 1 ] || ! grep -q "unordered" "$SPOOL/fft.check"; then
+    cat "$SPOOL/fft.check"
+    echo "check --trace: expected exit status 1 reporting unordered pairs, got $CHECK_STATUS"
+    exit 1
+fi
+head -n 2 "$SPOOL/fft.check"
 
 step "model checker smoke: exhaustive 2-core x 1-line enumeration"
 cargo run --release --offline -p spcp-cli -- check --model --cores 2 --lines 1

@@ -11,40 +11,55 @@
 //! directory protocol and under broadcast snooping, whose every miss runs
 //! the snoop fan-out kernel (`Fabric::fanout` / `fanin_untimed`).
 //!
-//! This file holds exactly one test so no sibling test thread allocates
-//! inside the counting window.
+//! The trace pipeline is pinned the same way: `write_trace` allocates
+//! the same at 1× and 4× the events, and `analyze_races` allocates the
+//! same on a 1× and a 4× miss trace over one block set — its state grows
+//! with distinct blocks and locks, never with events.
+//!
+//! Counting is per thread, so the tests can run side by side: only the
+//! thread inside a counting window is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
+use spcp_core::AccessKind;
+use spcp_mem::BlockAddr;
+use spcp_sim::{CoreId, CoreSet};
 use spcp_system::{CmpSystem, MachineConfig, ProtocolKind, RunConfig, RunStats};
+use spcp_trace::TraceEvent;
 use spcp_workloads::{suite, BenchmarkSpec};
 
-/// Forwards to the system allocator, counting allocations while armed.
+/// Forwards to the system allocator, counting the allocations of the
+/// thread that armed it.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations on this thread since it armed counting, if armed.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCS.try_with(|a| {
+        if let Some(n) = a.get() {
+            a.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,13 +71,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Runs `f` with this thread's allocations counted; returns its result
+/// and the count.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|a| a.set(Some(0)));
+    let out = f();
+    let n = ALLOCS.with(|a| a.take()).expect("armed");
+    (out, n)
+}
+
 /// Runs `workload` with counting armed only around the simulation itself.
 fn counted_run(workload: &spcp_workloads::Workload, cfg: &RunConfig) -> (RunStats, u64) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let stats = CmpSystem::run_workload(workload, cfg);
-    ARMED.store(false, Ordering::SeqCst);
-    (stats, ALLOCS.load(Ordering::SeqCst))
+    counted(|| CmpSystem::run_workload(workload, cfg))
 }
 
 /// The benchmark with every phase's iteration count multiplied by `k`:
@@ -125,4 +145,80 @@ fn steady_state_access_pipeline_does_not_allocate() {
              allocations for {extra_ops} extra accesses"
         );
     }
+}
+
+/// The first `len` events of `trace`, cycled.
+fn cycled(trace: &[TraceEvent], len: usize) -> Vec<TraceEvent> {
+    trace.iter().cycle().take(len).copied().collect()
+}
+
+#[test]
+fn trace_writer_allocations_do_not_grow_with_events() {
+    let w = suite::by_name("x264")
+        .expect("known benchmark")
+        .generate(16, 7);
+    let cfg = RunConfig::new(MachineConfig::paper_16core(), ProtocolKind::Directory).tracing();
+    let trace = CmpSystem::run_workload(&w, &cfg).trace;
+    assert!(trace.len() > 10_000, "{} events", trace.len());
+    let t1 = cycled(&trace, trace.len());
+    let t4 = cycled(&trace, 4 * trace.len());
+    let (r1, a1) = counted(|| spcp_trace::write_trace(std::io::sink(), &t1));
+    let (r4, a4) = counted(|| spcp_trace::write_trace(std::io::sink(), &t4));
+    r1.and(r4).expect("writing to a sink cannot fail");
+    eprintln!(
+        "write_trace: {} events, {a1} allocs | {} events, {a4} allocs",
+        t1.len(),
+        t4.len()
+    );
+    assert_eq!(a1, a4, "write_trace allocates per event");
+}
+
+#[test]
+fn race_analysis_allocations_grow_with_blocks_not_events() {
+    // 16 cores over 500 blocks: miss `k` goes to block `k % 500` from core
+    // `k % 16`, so a block's previous miss came from the core four below.
+    // Reads forward from that core (read-only pairs, which never race),
+    // writes communicate with no one. Each 8000-miss round visits the
+    // same (block, core) pairs, so 1x and 4x touch the same state.
+    const CORES: usize = 16;
+    const BLOCKS: u64 = 500;
+    let round: Vec<TraceEvent> = (0..8000u64)
+        .map(|k| {
+            let core = (k % CORES as u64) as usize;
+            let block = k % BLOCKS;
+            let write = k % 5 == 0;
+            let prev = (core + CORES - 4) % CORES;
+            TraceEvent::Miss {
+                core: CoreId::new(core),
+                block: BlockAddr::from_index(block * 64),
+                pc: 0,
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                targets: if write {
+                    CoreSet::empty()
+                } else {
+                    CoreSet::single(CoreId::new(prev))
+                },
+            }
+        })
+        .collect();
+    let t4 = cycled(&round, 4 * round.len());
+    let (r1, a1) = counted(|| spcp_verify::analyze_races(CORES, &round));
+    let (r4, a4) = counted(|| spcp_verify::analyze_races(CORES, &t4));
+    assert!(r1.is_clean() && r4.is_clean());
+    assert!(
+        r4.read_pairs > 3 * r1.read_pairs,
+        "{} vs {}",
+        r4.read_pairs,
+        r1.read_pairs
+    );
+    eprintln!(
+        "analyze_races: {} misses, {a1} allocs | {} misses, {a4} allocs",
+        round.len(),
+        t4.len()
+    );
+    assert_eq!(a1, a4, "analyze_races allocates per event");
 }

@@ -6,10 +6,15 @@
 //! eviction). `tests/soa_equivalence.rs` runs it in lockstep against the
 //! real cache; `tests/properties.rs` checks the LRU invariants against
 //! both implementations independently.
+//!
+//! `trace_ref` holds verbatim ports of the pre-rewrite trace codec and
+//! race analyzer, the reference `tests/trace_equivalence.rs` runs against.
 
 // Each integration test binary compiles its own copy of this module and
 // uses a subset of it.
 #![allow(dead_code)]
+
+pub mod trace_ref;
 
 use spcp::mem::{BlockAddr, CacheConfig};
 
