@@ -1,26 +1,29 @@
-//! Shared harness for the table/figure reproduction binaries.
+//! The experiment registry: every table and figure of the paper, plus the
+//! ablations and extensions, as one [`Experiment`] each.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper.
-//! Run them with `cargo run -p spcp-bench --release --bin <name>`:
+//! Run them with `spcp exp <name>…` (or `spcp exp all`; `spcp exp list`
+//! prints the names). Each experiment writes its report to the given
+//! output and runs its simulations through a [`Lab`], which fans them
+//! across `--jobs` workers and spools them under `--out` when asked.
 //!
-//! | binary | artifact |
+//! | experiment | artifact |
 //! |---|---|
 //! | `fig1_communicating_misses` | Figure 1 |
 //! | `fig2_comm_distribution` | Figure 2 |
-//! | `table1_sync_epoch_stats` | Table 1 |
+//! | `fig3_sync_epochs` | Figure 3 (rendered from a real trace) |
 //! | `fig4_comm_locality` | Figure 4 |
 //! | `fig5_hot_set_sizes` | Figure 5 |
 //! | `fig6_hot_set_patterns` | Figure 6 |
-//! | `table4_machine_config` | Table 4 |
 //! | `fig7_sp_accuracy` | Figure 7 |
-//! | `table5_predicted_set_size` | Table 5 |
 //! | `fig8_miss_latency` | Figure 8 |
 //! | `fig9_bandwidth` | Figure 9 |
 //! | `fig10_execution_time` | Figure 10 |
 //! | `fig11_energy` | Figure 11 |
 //! | `fig12_tradeoff` | Figure 12 |
 //! | `fig13_space_sensitivity` | Figure 13 |
-//! | `fig3_sync_epochs` | Figure 3 (rendered from a real trace) |
+//! | `table1_sync_epoch_stats` | Table 1 |
+//! | `table4_machine_config` | Table 4 |
+//! | `table5_predicted_set_size` | Table 5 |
 //! | `ablation_sp` | SP design-choice sweeps (DESIGN.md §5) |
 //! | `ablation_policies` | destination-set policies (§5.4 footnote) |
 //! | `ext_multicast_snoop` | prediction-driven multicast snooping (§1) |
@@ -39,191 +42,147 @@
 
 #![warn(missing_docs)]
 
+mod extensions;
+mod lab;
+mod paper;
 pub mod timing;
 
-use std::path::PathBuf;
+use std::io::{self, Write};
 
-use spcp_harness::{RunMatrix, SpoolError, StreamConfig, SweepEngine, SweepResult};
-use spcp_system::{CmpSystem, MachineConfig, ProtocolKind, RunConfig, RunStats};
+use spcp_harness::RunMatrix;
+use spcp_system::{PredictorKind, ProtocolKind};
 use spcp_workloads::{suite, BenchmarkSpec};
 
-/// The fixed workload seed every figure uses (determinism across binaries).
+pub use lab::Lab;
+
+/// The fixed workload seed every experiment uses.
 pub const SEED: u64 = 7;
 /// Cores in the evaluated machine.
 pub const CORES: usize = 16;
 
-/// Runs `spec` under `protocol` on the paper's machine.
-pub fn run(spec: &BenchmarkSpec, protocol: ProtocolKind, record: bool) -> RunStats {
-    let w = spec.generate(CORES, SEED);
-    let mut cfg = RunConfig::new(MachineConfig::paper_16core(), protocol);
-    if record {
-        cfg = cfg.recording();
-    }
-    CmpSystem::run_workload(&w, &cfg)
+/// One registered experiment: a name and the function that writes its
+/// report.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The name `spcp exp` selects it by.
+    pub name: &'static str,
+    /// Runs the experiment's simulations in the lab and writes its report.
+    pub run: fn(&Lab, &mut dyn Write) -> io::Result<()>,
 }
 
-/// Parses `--jobs N` (or `--jobs=N`) from the process arguments; defaults
-/// to the machine's available parallelism.
-pub fn jobs_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    jobs_from(&args)
-}
-
-/// [`jobs_arg`] over an explicit argument slice (testable).
-pub fn jobs_from(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            if let Some(v) = it.next().and_then(|s| s.parse::<usize>().ok()) {
-                return v.max(1);
-            }
-        } else if let Some(v) = a
-            .strip_prefix("--jobs=")
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            return v.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Streamed-spool options for sweep-style binaries: `--out <dir>`,
-/// `--resume` and `--flush-every <n>`, mirroring `spcp sweep`.
-///
-/// With no `--out` the sweep runs through the in-memory engine exactly as
-/// before; with one, results are spooled to shard files so an interrupted
-/// figure regeneration can be resumed with `--resume`.
-#[derive(Debug, Clone, Default)]
-pub struct StreamOpts {
-    /// Spool directory (`--out`); `None` selects the in-memory path.
-    pub out: Option<PathBuf>,
-    /// Continue an interrupted sweep (`--resume`).
-    pub resume: bool,
-    /// Records between spool fsyncs (`--flush-every`); 0 = default.
-    pub flush_every: usize,
-}
-
-impl StreamOpts {
-    /// Parses the process arguments (the `jobs_arg` idiom).
-    pub fn from_env_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args)
-    }
-
-    /// [`Self::from_env_args`] over an explicit argument slice (testable).
-    pub fn from_args(args: &[String]) -> Self {
-        let mut opts = StreamOpts::default();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--out" => opts.out = it.next().map(PathBuf::from),
-                "--resume" => opts.resume = true,
-                "--flush-every" => {
-                    opts.flush_every = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(opts.flush_every)
-                }
-                _ => {
-                    if let Some(v) = a.strip_prefix("--out=") {
-                        opts.out = Some(PathBuf::from(v));
-                    } else if let Some(v) = a.strip_prefix("--flush-every=") {
-                        opts.flush_every = v.parse().unwrap_or(opts.flush_every);
-                    }
-                }
-            }
-        }
-        opts
-    }
-
-    /// The same options scoped to a subdirectory of `--out` — for binaries
-    /// that run several matrices (each matrix needs its own spool).
-    pub fn subdir(&self, name: &str) -> Self {
-        StreamOpts {
-            out: self.out.as_ref().map(|d| d.join(name)),
-            ..self.clone()
-        }
-    }
-
-    fn config(&self) -> Option<StreamConfig> {
-        self.out.as_ref().map(|dir| {
-            let mut cfg = StreamConfig::new(dir).resume(self.resume);
-            if self.flush_every > 0 {
-                cfg = cfg.flush_every(self.flush_every);
-            }
-            cfg
-        })
+impl Experiment {
+    /// Runs the experiment in `lab`, spooling its sweeps under
+    /// `<out>/<name>/` when the lab streams.
+    pub fn execute(&self, lab: &Lab, out: &mut dyn Write) -> io::Result<()> {
+        (self.run)(&lab.scoped(self.name), out)
     }
 }
 
-/// Runs one matrix through the engine, streamed when `opts` carries an
-/// `--out` directory, and prints the harness status line to stderr.
-///
-/// Recording matrices cannot stream (their per-epoch payloads are not
-/// spooled); they fall back to the in-memory engine with a warning. Spool
-/// failures abort the binary with a nonzero exit.
-pub fn run_matrix(matrix: &RunMatrix, jobs: usize, opts: &StreamOpts) -> SweepResult {
-    if let Some(cfg) = opts.config() {
-        match SweepEngine::new(jobs).run_streamed(matrix, &cfg) {
-            Ok(streamed) => {
-                eprintln!("[harness] {}", streamed.status_line());
-                return streamed.into_sweep_result().unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                });
-            }
-            Err(SpoolError::Unsupported(why)) => {
-                eprintln!("[harness] --out ignored: {why}");
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let result = SweepEngine::new(jobs).run(matrix);
-    eprintln!("[harness] {}", result.timing_line());
-    result
+/// Every experiment, in the order `spcp exp all` runs them.
+pub const EXPERIMENTS: [Experiment; 31] = [
+    exp("fig1_communicating_misses", paper::fig1),
+    exp("fig2_comm_distribution", paper::fig2),
+    exp("fig3_sync_epochs", paper::fig3),
+    exp("fig4_comm_locality", paper::fig4),
+    exp("fig5_hot_set_sizes", paper::fig5),
+    exp("fig6_hot_set_patterns", paper::fig6),
+    exp("fig7_sp_accuracy", paper::fig7),
+    exp("fig8_miss_latency", paper::fig8),
+    exp("fig9_bandwidth", paper::fig9),
+    exp("fig10_execution_time", paper::fig10),
+    exp("fig11_energy", paper::fig11),
+    exp("fig12_tradeoff", paper::fig12),
+    exp("fig13_space_sensitivity", paper::fig13),
+    exp("table1_sync_epoch_stats", paper::table1),
+    exp("table4_machine_config", paper::table4),
+    exp("table5_predicted_set_size", paper::table5),
+    exp("ablation_sp", extensions::ablation_sp),
+    exp("ablation_policies", extensions::ablation_policies),
+    exp("ext_multicast_snoop", extensions::multicast_snoop),
+    exp("ext_snoop_filter", extensions::snoop_filter),
+    exp("ext_software_table", extensions::software_table),
+    exp("ext_profile_warmstart", extensions::profile_warmstart),
+    exp("ext_thread_migration", extensions::thread_migration),
+    exp("ext_commercial", extensions::commercial),
+    exp("ext_protocol_variant", extensions::protocol_variant),
+    exp("ext_cache_sensitivity", extensions::cache_sensitivity),
+    exp("ext_core_count", extensions::core_count),
+    exp("ext_input_size", extensions::input_size),
+    exp("ext_compute_intensity", extensions::compute_intensity),
+    exp("noc_saturation", extensions::noc_saturation),
+    exp("all_results", extensions::all_results),
+];
+
+const fn exp(name: &'static str, run: fn(&Lab, &mut dyn Write) -> io::Result<()>) -> Experiment {
+    Experiment { name, run }
 }
 
-/// Sweeps the whole suite under the given labelled protocols, fanning the
-/// runs across `jobs` workers via `spcp-harness`. Honors the process-level
-/// `--out/--resume/--flush-every` stream options.
-pub fn sweep_suite(protocols: &[(&str, ProtocolKind)], record: bool, jobs: usize) -> SweepResult {
-    let mut matrix = RunMatrix::new().benches(suite::all());
-    for (label, kind) in protocols {
-        matrix = matrix.protocol(*label, kind.clone());
-    }
-    if record {
-        matrix = matrix.recording();
-    }
-    run_matrix(&matrix, jobs, &StreamOpts::from_env_args())
+/// The registered experiment called `name`.
+pub fn experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// Runs the whole suite under one protocol (parallel across `jobs_arg()`
-/// workers; results stay in `suite::all()` order).
-pub fn run_suite(protocol: ProtocolKind, record: bool) -> Vec<RunStats> {
-    let result = sweep_suite(&[("p", protocol)], record, jobs_arg());
-    result.runs.into_iter().map(|r| r.stats).collect()
+/// Every named protocol, in report order: the CLI's `--protocol` choices
+/// and the `all_results` columns.
+pub fn protocols() -> [(&'static str, ProtocolKind); 7] {
+    [
+        ("directory", ProtocolKind::Directory),
+        ("broadcast", ProtocolKind::Broadcast),
+        ("sp", sp()),
+        (
+            "addr",
+            ProtocolKind::Predicted(PredictorKind::Addr {
+                entries: None,
+                macroblock_bytes: 256,
+            }),
+        ),
+        (
+            "inst",
+            ProtocolKind::Predicted(PredictorKind::Inst { entries: None }),
+        ),
+        ("uni", ProtocolKind::Predicted(PredictorKind::Uni)),
+        (
+            "multicast",
+            ProtocolKind::MulticastSnoop(PredictorKind::sp_default()),
+        ),
+    ]
 }
 
-/// The directory/broadcast/SP comparison sweep behind Figures 8–11, run as
-/// one matrix so all runs share a single worker pool. The harness status
-/// line goes to stderr; `--out/--resume` stream the results.
-pub fn sweep_dir_bc_sp(record: bool) -> SweepResult {
-    sweep_suite(
-        &[
-            ("dir", ProtocolKind::Directory),
-            ("bc", ProtocolKind::Broadcast),
-            (
-                "sp",
-                ProtocolKind::Predicted(spcp_system::PredictorKind::sp_default()),
-            ),
-        ],
-        record,
-        jobs_arg(),
+/// The protocol named `name` in [`protocols`], also accepting the short
+/// forms `dir`, `bc` and `mc`.
+pub fn protocol(name: &str) -> Option<ProtocolKind> {
+    let name = match name {
+        "dir" => "directory",
+        "bc" => "broadcast",
+        "mc" => "multicast",
+        other => other,
+    };
+    protocols()
+        .into_iter()
+        .find(|(label, _)| *label == name)
+        .map(|(_, kind)| kind)
+}
+
+/// The rule between a report's rows and its summary.
+const RULE: &str = "----------------------------------------------------------------";
+
+/// The suite benchmark called `name`.
+fn bench(name: &str) -> BenchmarkSpec {
+    suite::by_name(name).expect("known benchmark")
+}
+
+/// SP-prediction with the paper's default configuration.
+fn sp() -> ProtocolKind {
+    ProtocolKind::Predicted(PredictorKind::sp_default())
+}
+
+/// The whole suite under each labelled protocol.
+fn suite_matrix<L: Into<String>>(
+    protocols: impl IntoIterator<Item = (L, ProtocolKind)>,
+) -> RunMatrix {
+    protocols.into_iter().fold(
+        RunMatrix::new().benches(suite::all()),
+        |m, (label, kind)| m.protocol(label, kind),
     )
 }
 
@@ -244,13 +203,18 @@ pub fn bar(frac: f64, width: usize) -> String {
     format!("{}{}", "█".repeat(filled), "·".repeat(width - filled))
 }
 
-/// Prints a standard figure header.
-pub fn header(id: &str, caption: &str) {
-    println!("================================================================");
-    println!("{id}: {caption}");
-    println!("(reproduction; shapes comparable to the paper, absolute numbers");
-    println!(" depend on the synthetic substrate — see EXPERIMENTS.md)");
-    println!("================================================================");
+/// Writes a standard figure header.
+pub fn header(out: &mut dyn Write, id: &str, caption: &str) -> io::Result<()> {
+    let rule = "================================================================";
+    writeln!(out, "{rule}\n{id}: {caption}")?;
+    writeln!(
+        out,
+        "(reproduction; shapes comparable to the paper, absolute numbers"
+    )?;
+    writeln!(
+        out,
+        " depend on the synthetic substrate — see EXPERIMENTS.md)\n{rule}"
+    )
 }
 
 #[cfg(test)]
@@ -272,96 +236,25 @@ mod tests {
     }
 
     #[test]
-    fn run_helper_produces_stats() {
-        let s = run(&suite::x264(), ProtocolKind::Directory, false);
-        assert_eq!(s.benchmark, "x264");
-        assert!(s.l2_misses > 0);
+    fn experiment_names_are_unique_and_found() {
+        for e in &EXPERIMENTS {
+            assert_eq!(experiment(e.name).map(|f| f.name), Some(e.name));
+        }
+        let mut names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+        assert!(experiment("fig99").is_none());
     }
 
     #[test]
-    fn jobs_from_parses_both_forms() {
-        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from(&argv(&["prog", "--jobs", "3"])), 3);
-        assert_eq!(jobs_from(&argv(&["prog", "--jobs=5"])), 5);
-        assert_eq!(jobs_from(&argv(&["prog", "--jobs", "0"])), 1);
-        assert!(jobs_from(&argv(&["prog"])) >= 1);
-    }
-
-    #[test]
-    fn sweep_matches_serial_run() {
-        let spec = suite::x264();
-        let serial = run(&spec, ProtocolKind::Directory, false);
-        let sweep = sweep_suite(&[("dir", ProtocolKind::Directory)], false, 2);
-        let swept = sweep.get("x264", "dir", SEED).expect("present");
-        assert_eq!(serial.exec_cycles, swept.stats.exec_cycles);
-        assert_eq!(serial.noc.byte_hops, swept.stats.noc.byte_hops);
-    }
-
-    #[test]
-    fn stream_opts_parse_and_subdir() {
-        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = StreamOpts::from_args(&argv(&["prog", "--out", "/tmp/spool", "--resume"]));
-        assert_eq!(o.out.as_deref(), Some(std::path::Path::new("/tmp/spool")));
-        assert!(o.resume);
-        assert_eq!(o.flush_every, 0);
-        let o = StreamOpts::from_args(&argv(&["prog", "--out=/x", "--flush-every=9"]));
-        assert_eq!(o.out.as_deref(), Some(std::path::Path::new("/x")));
-        assert_eq!(o.flush_every, 9);
-        let sub = o.subdir("scale2");
-        assert_eq!(sub.out.as_deref(), Some(std::path::Path::new("/x/scale2")));
-        let none = StreamOpts::from_args(&argv(&["prog", "--jobs", "2"]));
-        assert!(none.out.is_none());
-        assert!(none.subdir("s").out.is_none());
-    }
-
-    #[test]
-    fn run_matrix_streamed_matches_in_memory() {
-        let dir = std::env::temp_dir().join(format!("spcp-bench-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let matrix = RunMatrix::new()
-            .bench(suite::x264())
-            .protocol("dir", ProtocolKind::Directory)
-            .protocol(
-                "sp",
-                ProtocolKind::Predicted(spcp_system::PredictorKind::sp_default()),
-            );
-        let mem = run_matrix(&matrix, 2, &StreamOpts::default());
-        let opts = StreamOpts {
-            out: Some(dir.clone()),
-            resume: false,
-            flush_every: 1,
-        };
-        let streamed = run_matrix(&matrix, 2, &opts);
-        assert_eq!(mem.summary(), streamed.summary());
-        // Resume over the finished spool re-runs nothing and agrees.
-        let resumed = run_matrix(
-            &matrix,
-            2,
-            &StreamOpts {
-                resume: true,
-                ..opts
-            },
-        );
-        assert_eq!(mem.summary(), resumed.summary());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_matrix_recording_falls_back_to_memory() {
-        let dir = std::env::temp_dir().join(format!("spcp-bench-recfall-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let matrix = RunMatrix::new()
-            .bench(suite::x264())
-            .protocol("dir", ProtocolKind::Directory)
-            .recording();
-        let opts = StreamOpts {
-            out: Some(dir.clone()),
-            resume: false,
-            flush_every: 0,
-        };
-        let result = run_matrix(&matrix, 1, &opts);
-        assert_eq!(result.runs.len(), 1);
-        assert!(!result.runs[0].stats.epoch_records.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn protocol_names_and_aliases_resolve() {
+        for (label, kind) in protocols() {
+            assert_eq!(protocol(label), Some(kind));
+        }
+        assert_eq!(protocol("dir"), Some(ProtocolKind::Directory));
+        assert_eq!(protocol("bc"), Some(ProtocolKind::Broadcast));
+        assert_eq!(protocol("mc"), protocol("multicast"));
+        assert!(protocol("bogus").is_none());
     }
 }

@@ -2,12 +2,14 @@
 
 use std::collections::HashMap;
 
-/// A parsed command line: subcommand, `--key value` options, and `--flag`
-/// switches.
+/// A parsed command line: subcommand, further positional arguments,
+/// `--key value` options, and `--flag` switches.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
+    /// The positional arguments after the subcommand.
+    pub positional: Vec<String>,
     /// `--key value` pairs.
     pub options: HashMap<String, String>,
     /// Bare `--flag` switches.
@@ -40,6 +42,8 @@ impl Args {
             } else {
                 if args.command.is_empty() {
                     args.command = tok.clone();
+                } else {
+                    args.positional.push(tok.clone());
                 }
                 i += 1;
             }
@@ -108,6 +112,14 @@ mod tests {
         let a = parse("run --filter --seed 3");
         assert!(a.flag("filter"));
         assert_eq!(a.opt("seed"), Some("3"));
+    }
+
+    #[test]
+    fn positionals_follow_the_command() {
+        let a = parse("exp fig8 fig9 --jobs 2");
+        assert_eq!(a.command, "exp");
+        assert_eq!(a.positional, ["fig8", "fig9"]);
+        assert_eq!(a.opt("jobs"), Some("2"));
     }
 
     #[test]

@@ -10,11 +10,11 @@
 mod args;
 mod report;
 
+use std::io::Write;
+
 use args::Args;
 use spcp_harness::{golden, RunMatrix, StreamConfig, SweepEngine, SweepSummary};
-use spcp_system::{
-    CmpSystem, CoherenceVariant, MachineConfig, PredictorKind, ProtocolKind, RunConfig, RunStats,
-};
+use spcp_system::{CmpSystem, CoherenceVariant, MachineConfig, ProtocolKind, RunConfig, RunStats};
 use spcp_verify::{analyze_races, ModelChecker, ModelConfig};
 use spcp_workloads::suite;
 
@@ -49,22 +49,15 @@ USAGE:
       [--mesi] [--no-predictor-race]            exhaustive protocol model check
   spcp check --trace <file> [--cores <n>]       sync-epoch race analysis
       exit status is nonzero on any violation / race
+  spcp exp list                                 list the paper's figures,
+                                                tables and extensions
+  spcp exp <name>... | all                      regenerate them on stdout
+      [--jobs <n>] [--out <dir>] [--resume]     (sweeps spool under
+      [--flush-every <n>]                       <dir>/<name>/<n>)
 ";
 
 fn protocol_from(name: &str) -> Result<ProtocolKind, String> {
-    Ok(match name {
-        "directory" | "dir" => ProtocolKind::Directory,
-        "broadcast" | "bc" => ProtocolKind::Broadcast,
-        "sp" => ProtocolKind::Predicted(PredictorKind::sp_default()),
-        "addr" => ProtocolKind::Predicted(PredictorKind::Addr {
-            entries: None,
-            macroblock_bytes: 256,
-        }),
-        "inst" => ProtocolKind::Predicted(PredictorKind::Inst { entries: None }),
-        "uni" => ProtocolKind::Predicted(PredictorKind::Uni),
-        "multicast" | "mc" => ProtocolKind::MulticastSnoop(PredictorKind::sp_default()),
-        other => return Err(format!("unknown protocol '{other}'")),
-    })
+    spcp_bench::protocol(name).ok_or_else(|| format!("unknown protocol '{name}'"))
 }
 
 fn cmd_list() -> Result<(), String> {
@@ -145,23 +138,13 @@ fn stream_config_from(args: &Args) -> Result<Option<StreamConfig>, String> {
     ))
 }
 
-const ALL_PROTOCOLS: [&str; 7] = [
-    "directory",
-    "broadcast",
-    "sp",
-    "addr",
-    "inst",
-    "uni",
-    "multicast",
-];
-
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let bench = args.opt("bench").ok_or("compare requires --bench <name>")?;
     let spec = suite::by_name(bench).ok_or_else(|| format!("unknown benchmark '{bench}'"))?;
     let seed: u64 = args.opt_parse("seed", 7)?;
     let mut matrix = RunMatrix::new().bench(spec).seeds(&[seed]);
-    for name in ALL_PROTOCOLS {
-        matrix = matrix.protocol(name, protocol_from(name)?);
+    for (label, kind) in spcp_bench::protocols() {
+        matrix = matrix.protocol(label, kind);
     }
     let engine = SweepEngine::new(jobs_arg(args)?);
     let print_header = || {
@@ -334,6 +317,35 @@ fn golden_out(args: &Args, path: &str, rendered: &str) -> Result<(), String> {
         Ok(true) => println!("wrote golden snapshot {}", path.display()),
         Ok(false) => println!("golden snapshot {} matches", path.display()),
         Err(e) => return Err(e.to_string()),
+    }
+    Ok(())
+}
+
+/// `spcp exp list | <name>… | all`: runs registered experiments, each
+/// writing its report to stdout.
+fn cmd_exp(args: &Args) -> Result<(), String> {
+    use spcp_bench::{experiment, EXPERIMENTS};
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let listed = |what: String| format!("{what}; experiments:\n  {}", names.join("\n  "));
+    let selected: Vec<_> = match args.positional.as_slice() {
+        [one] if one == "list" => {
+            return writeln!(std::io::stdout(), "{}", names.join("\n")).map_err(|e| e.to_string())
+        }
+        [one] if one == "all" => EXPERIMENTS.iter().collect(),
+        [] => return Err(listed("exp needs `list`, `all` or experiment names".into())),
+        given => given
+            .iter()
+            .map(|n| experiment(n).ok_or_else(|| listed(format!("unknown experiment '{n}'"))))
+            .collect::<Result<_, _>>()?,
+    };
+    let mut lab = spcp_bench::Lab::new(jobs_arg(args)?);
+    if let Some(cfg) = stream_config_from(args)? {
+        lab = lab.streamed(cfg);
+    }
+    let mut out = std::io::stdout().lock();
+    for e in selected {
+        e.execute(&lab, &mut out)
+            .map_err(|err| format!("{}: {err}", e.name))?;
     }
     Ok(())
 }
@@ -608,6 +620,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
         "analyze" => cmd_analyze(args),
         "matrix" => cmd_matrix(args),
         "check" => cmd_check(args),
+        "exp" => cmd_exp(args),
         "" | "help" => {
             print!("{USAGE}");
             Ok(())

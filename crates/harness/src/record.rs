@@ -13,9 +13,10 @@
 //! are ignored on decode so the format can grow fields without breaking
 //! old readers.
 //!
-//! Heavy optional payloads (`comm_matrix`, `epoch_records`, `pc_volumes`,
-//! traces) do **not** travel through the spool; streamed sweeps reject
-//! recording matrices up front.
+//! SP runs also carry their per-source prediction counters (`SpStats`)
+//! as one `sp` array. Heavy optional payloads (`comm_matrix`,
+//! `epoch_records`, `pc_volumes`, traces) do **not** travel through the
+//! spool; streamed sweeps reject recording matrices up front.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -395,6 +396,52 @@ const U64_FIELDS: [U64Field; 23] = [
     ("migrations", |s| s.migrations, |s, v| s.migrations = v),
 ];
 
+/// Writes SP's per-source counters (SP runs only) as one array, in
+/// `SpStats` declaration order.
+fn write_sp(w: &mut ObjWriter, s: &RunStats) {
+    if let Some(sp) = &s.sp {
+        let counters = [
+            sp.predictions,
+            sp.correct_d0,
+            sp.correct_history,
+            sp.correct_lock,
+            sp.correct_recovery,
+            sp.incorrect,
+            sp.no_prediction,
+            sp.recoveries,
+            sp.predicted_target_sum,
+            sp.signatures_stored,
+            sp.noisy_instances,
+        ];
+        w.arr("sp", counters.map(u128::from));
+    }
+}
+
+/// Reads the counters [`write_sp`] wrote, when the record has them.
+fn read_sp(map: &HashMap<String, Val>, s: &mut RunStats) -> Result<(), String> {
+    if !map.contains_key("sp") {
+        return Ok(());
+    }
+    let counters: [u64; 11] = get_arr_u64(map, "sp")?
+        .try_into()
+        .map_err(|_| "field 'sp' needs 11 counters")?;
+    let sp = s.sp.insert(Default::default());
+    [
+        sp.predictions,
+        sp.correct_d0,
+        sp.correct_history,
+        sp.correct_lock,
+        sp.correct_recovery,
+        sp.incorrect,
+        sp.no_prediction,
+        sp.recoveries,
+        sp.predicted_target_sum,
+        sp.signatures_stored,
+        sp.noisy_instances,
+    ] = counters;
+    Ok(())
+}
+
 fn write_mean(w: &mut ObjWriter, prefix: &str, m: &MeanAccumulator) {
     w.num(&format!("{prefix}_sum"), m.sum());
     w.num(&format!("{prefix}_count"), m.count() as u128);
@@ -446,6 +493,7 @@ pub fn encode_record(rec: &RunRecord) -> String {
     w.num("noc_contention_cycles", s.noc.contention_cycles as u128);
     w.num("noc_energy_bits", s.noc.energy.to_bits() as u128);
     w.num("snoop_energy_bits", s.snoop_energy.to_bits() as u128);
+    write_sp(&mut w, s);
     w.finish()
 }
 
@@ -486,6 +534,7 @@ pub fn decode_record(payload: &str) -> Result<RunRecord, String> {
     stats.noc.contention_cycles = get_u64(&map, "noc_contention_cycles")?;
     stats.noc.energy = f64::from_bits(get_u64(&map, "noc_energy_bits")?);
     stats.snoop_energy = f64::from_bits(get_u64(&map, "snoop_energy_bits")?);
+    read_sp(&map, &mut stats)?;
     Ok(RunRecord {
         index: get_u64(&map, "index")? as usize,
         id: get_str(&map, "id")?,
@@ -581,8 +630,31 @@ mod tests {
         assert_eq!(back.stats.miss_latency_hist, rec.stats.miss_latency_hist);
         assert_eq!(back.stats.noc, rec.stats.noc);
         assert_eq!(back.stats.snoop_energy.to_bits(), 0.125f64.to_bits());
+        assert_eq!(back.stats.sp, None);
         // And the re-encoding is byte-identical (canonical field order).
         assert_eq!(encode_record(&back), payload);
+    }
+
+    #[test]
+    fn sp_counters_round_trip() {
+        let mut rec = sample_record();
+        let sp = rec.stats.sp.insert(Default::default());
+        // Distinct values, so a field order mismatch cannot round-trip.
+        sp.predictions = 11;
+        sp.correct_d0 = 1;
+        sp.correct_history = 2;
+        sp.correct_lock = 3;
+        sp.correct_recovery = 4;
+        sp.incorrect = 5;
+        sp.no_prediction = 6;
+        sp.recoveries = 7;
+        sp.predicted_target_sum = 8;
+        sp.signatures_stored = 9;
+        sp.noisy_instances = 10;
+        let payload = encode_record(&rec);
+        assert_eq!(decode_record(&payload).unwrap().stats.sp, rec.stats.sp);
+        let short = payload.replace(",10]", "]");
+        assert!(decode_record(&short).unwrap_err().contains("'sp'"));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! and round-robin output arbitration. It serves two purposes:
 //!
 //! 1. **validation** — under light load the two models must agree on
-//!    latency (tests in this module and `spcp-bench`'s `noc_saturation`
-//!    binary check that);
+//!    latency (tests in this module and the `noc_saturation` experiment,
+//!    `spcp exp noc_saturation`, check that);
 //! 2. **network evaluation** — offered-load vs. latency saturation curves,
 //!    the standard NoC characterization.
 //!

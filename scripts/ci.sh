@@ -30,7 +30,7 @@ step "tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
-step "full workspace build + tests (bench binaries, CLI, golden checks)"
+step "full workspace build + tests (experiment registry, CLI, golden checks)"
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
 
@@ -74,6 +74,19 @@ cargo run --release --offline -p spcp-cli -- sweep \
     --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 \
     --out "$SPOOL/kill" --resume --golden "$SPOOL/kill.golden"
 cmp "$SPOOL/sweep.golden" "$SPOOL/kill.golden"
+
+step "experiment registry: every report byte-identical to its fixture, optimized"
+cargo test --release --offline -p spcp-bench --test experiments -- --include-ignored
+
+step "experiment kill-resume smoke: torn fig8 shard, --resume reprints the report"
+cargo run --release --offline -q -p spcp-cli -- exp fig8_miss_latency --jobs 2 \
+    --out "$SPOOL/exp" > /dev/null
+SHARD="$(ls "$SPOOL"/exp/fig8_miss_latency/0/shard-*.jsonl | tail -1)"
+SIZE="$(wc -c < "$SHARD")"
+truncate -s "$((SIZE - 7))" "$SHARD"
+cargo run --release --offline -q -p spcp-cli -- exp fig8_miss_latency --jobs 2 \
+    --out "$SPOOL/exp" --resume > "$SPOOL/fig8.out"
+cmp "$SPOOL/fig8.out" crates/bench/tests/fixtures/fig8_miss_latency.out
 
 step "trace pipeline smoke: record, characterize and race-check a trace file"
 cargo run --release --offline -p spcp-cli -- trace --bench fft --out "$SPOOL/fft.trace"
