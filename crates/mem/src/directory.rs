@@ -71,6 +71,10 @@ impl DirEntry {
 #[derive(Debug, Clone)]
 pub struct Directory {
     num_tiles: usize,
+    /// `num_tiles - 1` when the tile count is a power of two (every square
+    /// mesh the paper uses): the home is then a mask instead of a `u64`
+    /// modulo. `u64::MAX` marks any other count, which falls back to `%`.
+    home_mask: u64,
     entries: FlatMap<DirEntry>,
 }
 
@@ -84,6 +88,11 @@ impl Directory {
         assert!(num_tiles > 0);
         Directory {
             num_tiles,
+            home_mask: if num_tiles.is_power_of_two() {
+                num_tiles as u64 - 1
+            } else {
+                u64::MAX
+            },
             entries: FlatMap::new(),
         }
     }
@@ -93,9 +102,15 @@ impl Directory {
         self.num_tiles
     }
 
-    /// The home tile of a block.
+    /// The home tile of a block: [`BlockAddr::home`] over this
+    /// directory's tiles.
+    #[inline]
     pub fn home_of(&self, block: BlockAddr) -> CoreId {
-        block.home(self.num_tiles)
+        if self.home_mask != u64::MAX {
+            CoreId::new((block.index() & self.home_mask) as usize)
+        } else {
+            block.home(self.num_tiles)
+        }
     }
 
     /// The directory's current view of `block` (all-invalid when never

@@ -143,6 +143,12 @@ pub struct Fabric {
     /// [`CoreSet::MAX_CORES`] only): the destination masks the fan-out
     /// tree walk peels off column by column.
     col_masks: Vec<u64>,
+    /// Cycles a control message holds each link it crosses: its flit
+    /// count times `link_cycles`. Computed once, since control and data
+    /// are the only two message sizes.
+    hold_ctrl: u64,
+    /// Cycles a data message (header plus cache line) holds each link.
+    hold_data: u64,
     stats: NocStats,
 }
 
@@ -214,6 +220,7 @@ impl Fabric {
     /// Creates a fabric from a configuration.
     pub fn new(cfg: NocConfig) -> Self {
         let vcs = cfg.virtual_channels.max(1);
+        let hold = |kind: MsgKind| kind.bytes().div_ceil(cfg.flit_bytes).max(1) * cfg.link_cycles;
         Fabric {
             mesh: Mesh::new(cfg.width, cfg.height),
             vcs,
@@ -227,6 +234,8 @@ impl Fabric {
                         .fold(0u64, |m, node| m | 1 << node)
                 })
                 .collect(),
+            hold_ctrl: hold(MsgKind::Request),
+            hold_data: hold(MsgKind::DataResponse),
             cfg,
             stats: NocStats::default(),
         }
@@ -293,9 +302,15 @@ impl Fabric {
         self.stats = NocStats::default();
     }
 
-    /// Number of flits a message of `bytes` serializes into.
-    fn flits(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.cfg.flit_bytes).max(1)
+    /// Cycles a `kind` message holds each link it crosses: its
+    /// `ceil(bytes / flit_bytes)` flits serialized at `link_cycles` each.
+    #[inline]
+    fn hold(&self, kind: MsgKind) -> u64 {
+        if kind.carries_data() {
+            self.hold_data
+        } else {
+            self.hold_ctrl
+        }
     }
 
     /// Sends one message, returning its arrival time at `dst`.
@@ -332,7 +347,7 @@ impl Fabric {
             return depart + hops * (self.cfg.router_cycles + self.cfg.link_cycles);
         }
 
-        let hold = self.flits(bytes) * self.cfg.link_cycles;
+        let hold = self.hold(kind);
         let width = self.cfg.width;
         let mut head = depart;
         if b.x != a.x {
@@ -472,7 +487,7 @@ impl Fabric {
         }
 
         if self.cfg.model_contention {
-            let hold = self.flits(bytes) * self.cfg.link_cycles;
+            let hold = self.hold(kind);
             // The default VC count gets a walk whose per-link VC slots live
             // in a fixed-size local array (registers, not the table).
             if self.vcs == 4 {
@@ -724,6 +739,40 @@ mod tests {
 
     fn fabric() -> Fabric {
         Fabric::new(NocConfig::default())
+    }
+
+    #[test]
+    fn precomputed_hold_matches_flit_count_for_every_kind() {
+        use MsgKind::*;
+        let kinds = [
+            Request,
+            PredictedRequest,
+            Forward,
+            Invalidate,
+            InvalidateAck,
+            Nack,
+            ControlResponse,
+            DataResponse,
+            WriteBack,
+            DirectoryUpdate,
+            SnoopProbe,
+            SnoopResponse,
+        ];
+        for (flit_bytes, link_cycles) in [(16, 1), (8, 3), (7, 2), (100, 1), (1, 1)] {
+            let f = Fabric::new(NocConfig {
+                flit_bytes,
+                link_cycles,
+                ..NocConfig::default()
+            });
+            for kind in kinds {
+                let flits = kind.bytes().div_ceil(flit_bytes).max(1);
+                assert_eq!(
+                    f.hold(kind),
+                    flits * link_cycles,
+                    "{kind} at {flit_bytes} B"
+                );
+            }
+        }
     }
 
     #[test]

@@ -69,10 +69,16 @@ impl Direction {
 /// of the paper's Table 4 (a 4×4 mesh of 16 tiles). Routing is deterministic
 /// X-Y: first travel along the row to the destination column, then along the
 /// column.
+///
+/// Node coordinates are tabulated at construction, so [`Mesh::coord_of`]
+/// and [`Mesh::hops`] — asked on every message the fabric sends — are
+/// lookups rather than a division and a remainder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
     width: usize,
     height: usize,
+    /// `coords[i] == (i % width, i / width)` for every node `i`.
+    coords: Vec<Coord>,
 }
 
 impl Mesh {
@@ -83,7 +89,14 @@ impl Mesh {
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be non-zero");
-        Mesh { width, height }
+        let coords = (0..height)
+            .flat_map(|y| (0..width).map(move |x| Coord { x, y }))
+            .collect();
+        Mesh {
+            width,
+            height,
+            coords,
+        }
     }
 
     /// Grid width (columns).
@@ -106,16 +119,11 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if the core index is outside the mesh.
+    #[inline]
     pub fn coord_of(&self, core: CoreId) -> Coord {
-        let i = core.index();
-        assert!(
-            i < self.nodes(),
-            "core {i} outside a {}-node mesh",
-            self.nodes()
-        );
-        Coord {
-            x: i % self.width,
-            y: i / self.width,
+        match self.coords.get(core.index()) {
+            Some(&c) => c,
+            None => panic!("core {} outside a {}-node mesh", core.index(), self.nodes()),
         }
     }
 
@@ -130,6 +138,7 @@ impl Mesh {
     }
 
     /// Manhattan hop distance between two tiles.
+    #[inline]
     pub fn hops(&self, src: CoreId, dst: CoreId) -> usize {
         let a = self.coord_of(src);
         let b = self.coord_of(dst);

@@ -15,7 +15,7 @@ use crate::runtime::{Acquire, BarrierState, LockRuntime};
 use spcp_core::{shared_lock_table, AccessKind, MissInfo, PredictionOutcome};
 use spcp_mem::{BlockAddr, Directory, LineState, SetAssocCache};
 use spcp_noc::{Fabric, MsgKind};
-use spcp_sim::{CoreId, CoreSet, Cycle, EventQueue};
+use spcp_sim::{CoreId, CoreSet, Cycle, ReadyQueue};
 use spcp_sync::{EpochInstance, EpochTracker, StaticSyncId, SyncKind, SyncPoint};
 use spcp_workloads::{Op, Workload};
 
@@ -152,6 +152,8 @@ pub struct CmpSystem {
     barrier_id: Option<StaticSyncId>,
     barrier_releases: u64,
     locks: LockRuntime,
+    /// Per-region sharers for the snoop filter; kept only when
+    /// `cfg.snoop_filter` is on (empty otherwise).
     regions: RegionTracker,
     stats: RunStats,
     /// Coherence transactions committed so far (invariant-violation
@@ -489,7 +491,7 @@ impl CmpSystem {
         let streams = workload.threads();
         let mut pc: Vec<usize> = vec![0; n];
         let mut status: Vec<ThreadStatus> = vec![ThreadStatus::Runnable; n];
-        let mut ready: EventQueue<usize> = EventQueue::new();
+        let mut ready = ReadyQueue::new(n);
         for t in 0..n {
             ready.push(Cycle::ZERO, t);
         }
@@ -690,7 +692,8 @@ impl CmpSystem {
     }
 
     /// Inserts `block` into the requester's L2 (handling the victim) and
-    /// L1, keeping the region tracker current.
+    /// L1, keeping the region tracker current when the snoop filter, its
+    /// only reader, is on.
     fn fill_l2(&mut self, core: CoreId, block: BlockAddr, state: LineState, t: Cycle) {
         let c = core.index();
         if let Some((victim, vstate)) = self.tiles[c].l2.insert(block, state) {
@@ -701,20 +704,25 @@ impl CmpSystem {
                     self.fabric.send(core, home, MsgKind::WriteBack, t);
                 }
                 self.dir.record_drop(victim, core);
-                self.regions.on_drop(core, victim);
+                if self.cfg.snoop_filter {
+                    self.regions.on_drop(core, victim);
+                }
             } else {
                 // Same-block replacement: presence unchanged.
                 self.fill_l1(c, block);
                 return;
             }
         }
-        self.regions.on_fill(core, block);
+        if self.cfg.snoop_filter {
+            self.regions.on_fill(core, block);
+        }
         self.fill_l1(c, block);
     }
 
     /// Drops `block` from a remote sharer's caches (invalidation).
     fn invalidate_at(&mut self, core: CoreId, block: BlockAddr) {
-        if self.tiles[core.index()].l2.invalidate(block).is_some() {
+        let dropped = self.tiles[core.index()].l2.invalidate(block).is_some();
+        if dropped && self.cfg.snoop_filter {
             self.regions.on_drop(core, block);
         }
         self.tiles[core.index()].l1.invalidate(block);

@@ -19,9 +19,11 @@ fi
 step "clippy (workspace, -D warnings)"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
-    # The coherence substrate must not panic on lookup failures: every
-    # unwrap in spcp-mem/spcp-noc library code is a latent protocol bug.
-    cargo clippy -p spcp-mem -p spcp-noc --offline -- -D warnings -W clippy::unwrap_used
+    # The coherence substrate and the simulation loop must not panic on
+    # lookup failures: every unwrap in spcp-mem/spcp-noc/spcp-sim/
+    # spcp-system library code is a latent protocol bug.
+    cargo clippy -p spcp-mem -p spcp-noc -p spcp-sim -p spcp-system --offline -- \
+        -D warnings -W clippy::unwrap_used
 else
     echo "clippy not installed; skipping"
 fi

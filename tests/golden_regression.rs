@@ -2,7 +2,8 @@
 //! fixed figure seed on the paper's 16-core machine, plus one 64-core
 //! snapshot (`mesh64`: trimmed lock and barrier benchmarks ×
 //! {dir, bc, sp, mc} on an 8×8 mesh, the broadcast and two-phase
-//! multicast-snoop fan-out at the core-count cap), all under
+//! multicast-snoop fan-out at the core-count cap) and one snapshot of the
+//! region snoop filter (`snoop_filter`: SP with the filter on), all under
 //! `tests/golden/`. Any change to simulator behavior shows up as a precise
 //! line diff. The streamed (spooled-to-disk) sweep path must reproduce
 //! every golden byte for byte.
@@ -89,6 +90,17 @@ fn mesh64_matrix() -> RunMatrix {
         )
 }
 
+/// The filter-on snapshot: SP with the region snoop filter (§5.3) on a
+/// barrier-heavy, a pipeline and a data-parallel benchmark. The filter's
+/// region tracker is kept only when the filter is on, so this is the one
+/// snapshot that exercises it.
+fn snoop_filter_matrix() -> RunMatrix {
+    RunMatrix::new()
+        .benches(["fft", "x264", "bodytrack"].map(|n| suite::by_name(n).expect("known benchmark")))
+        .protocol("sp", ProtocolKind::Predicted(PredictorKind::sp_default()))
+        .with_snoop_filter()
+}
+
 /// Every snapshot file: its name and the matrix it renders.
 fn golden_files() -> Vec<(&'static str, RunMatrix)> {
     let mut files: Vec<(&'static str, RunMatrix)> = GOLDEN_BENCHES
@@ -96,6 +108,7 @@ fn golden_files() -> Vec<(&'static str, RunMatrix)> {
         .map(|&b| (b, golden_matrix(b)))
         .collect();
     files.push(("mesh64", mesh64_matrix()));
+    files.push(("snoop_filter", snoop_filter_matrix()));
     files
 }
 
@@ -181,6 +194,11 @@ fn golden_dedup() {
 #[test]
 fn golden_mesh64() {
     check_matrix("mesh64", &mesh64_matrix());
+}
+
+#[test]
+fn golden_snoop_filter() {
+    check_matrix("snoop_filter", &snoop_filter_matrix());
 }
 
 /// The streamed (write-ahead spool) path reproduces every golden file byte

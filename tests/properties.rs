@@ -6,10 +6,12 @@
 //! reproducible from its printed case number.
 
 use spcp::harness::frame;
-use spcp::mem::{BlockAddr, CacheConfig, SetAssocCache, BLOCK_BYTES};
-use spcp::noc::Mesh;
+use spcp::mem::{BlockAddr, CacheConfig, Directory, SetAssocCache, BLOCK_BYTES};
+use spcp::noc::{Coord, Mesh};
 use spcp::predict::CommCounters;
-use spcp::sim::{CoreId, CoreSet, Cycle, DetRng, EventQueue};
+use spcp::sim::{CoreId, CoreSet, Cycle, DetRng, ReadyQueue};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 mod common;
 use common::RefCache;
@@ -80,22 +82,23 @@ fn coreset_difference_disjoint_from_subtrahend() {
     }
 }
 
-// ---------------- Event queue ----------------
+// ---------------- Ready queue ----------------
 
 #[test]
-fn event_queue_pops_sorted() {
+fn ready_queue_pops_sorted() {
     for case in 0..CASES {
         let mut rng = case_rng(20, case);
         let n = rng.range(1, 200) as usize;
         let times: Vec<u64> = (0..n).map(|_| rng.range(0, 1000)).collect();
-        let mut q = EventQueue::new();
+        let mut q = ReadyQueue::new(n);
         for (i, &t) in times.iter().enumerate() {
             q.push(Cycle::new(t), i);
         }
         let mut last = Cycle::ZERO;
         let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
+        while let Some((t, id)) = q.pop() {
             assert!(t >= last, "case {case}");
+            assert_eq!(t, Cycle::new(times[id]), "case {case}");
             last = t;
             popped += 1;
         }
@@ -104,16 +107,72 @@ fn event_queue_pops_sorted() {
 }
 
 #[test]
-fn event_queue_equal_times_fifo() {
+fn ready_queue_equal_times_fifo() {
     for case in 0..CASES {
         let mut rng = case_rng(21, case);
         let n = rng.range(1, 100) as usize;
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.push(Cycle::new(42), i);
+        let mut order: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut order);
+        let mut q = ReadyQueue::new(n);
+        for &id in &order {
+            q.push(Cycle::new(42), id);
         }
-        for i in 0..n {
-            assert_eq!(q.pop().map(|(_, x)| x), Some(i), "case {case}");
+        for &id in &order {
+            assert_eq!(q.pop().map(|(_, x)| x), Some(id), "case {case}");
+        }
+        assert_eq!(q.pop(), None, "case {case}");
+    }
+}
+
+/// The tournament tree against a binary heap keyed by `(time, push seq)`,
+/// the order the simulator's run loop has always popped in: random
+/// interleavings of pushes and pops with at most one pending entry per id,
+/// wake-up times drawn from a narrow window so equal-time ties are common,
+/// and the run loop's pop-then-push-the-same-id pattern.
+#[test]
+fn ready_queue_matches_heap_model_in_lockstep() {
+    for n in [1usize, 2, 3, 16, 17, 64] {
+        for case in 0..CASES {
+            let mut rng = case_rng(22 ^ ((n as u64) << 8), case);
+            let mut q = ReadyQueue::new(n);
+            let mut model: BinaryHeap<Reverse<(Cycle, u64, usize)>> = BinaryHeap::new();
+            let mut pending = vec![false; n];
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut push = |q: &mut ReadyQueue,
+                            model: &mut BinaryHeap<Reverse<(Cycle, u64, usize)>>,
+                            pending: &mut [bool],
+                            id: usize,
+                            t: Cycle| {
+                q.push(t, id);
+                model.push(Reverse((t, seq, id)));
+                seq += 1;
+                pending[id] = true;
+            };
+            for step in 0..rng.range(1, 400) {
+                let idle: Vec<usize> = (0..n).filter(|&i| !pending[i]).collect();
+                if !idle.is_empty() && (model.is_empty() || rng.chance(0.5)) {
+                    let id = *rng.pick(&idle);
+                    let t = Cycle::new(now + rng.range(0, 4));
+                    push(&mut q, &mut model, &mut pending, id, t);
+                } else {
+                    let got = q.pop();
+                    let want = model.pop().map(|Reverse((t, _, id))| (t, id));
+                    assert_eq!(got, want, "n {n} case {case} step {step}");
+                    let Some((t, id)) = got else { continue };
+                    pending[id] = false;
+                    now = t.as_u64();
+                    if rng.chance(0.6) {
+                        let again = Cycle::new(now + rng.range(0, 3));
+                        push(&mut q, &mut model, &mut pending, id, again);
+                    }
+                }
+                assert_eq!(q.len(), model.len(), "n {n} case {case} step {step}");
+            }
+            while let Some(Reverse((t, _, id))) = model.pop() {
+                assert_eq!(q.pop(), Some((t, id)), "n {n} case {case} drain");
+            }
+            assert_eq!(q.pop(), None, "n {n} case {case}");
         }
     }
 }
@@ -148,6 +207,44 @@ fn mesh_hops_triangle_inequality() {
             mesh.hops(a, c) <= mesh.hops(a, b) + mesh.hops(b, c),
             "case {case}"
         );
+    }
+}
+
+#[test]
+fn mesh_coordinate_table_matches_row_major_numbering() {
+    for (w, h) in [(4, 4), (8, 8), (5, 3), (1, 8), (8, 1)] {
+        let mesh = Mesh::new(w, h);
+        for i in 0..w * h {
+            let c = CoreId::new(i);
+            let coord = mesh.coord_of(c);
+            assert_eq!(coord, Coord { x: i % w, y: i / w }, "{w}x{h} node {i}");
+            assert_eq!(mesh.core_at(coord), c, "{w}x{h} node {i}");
+            for j in 0..w * h {
+                let manhattan = (i % w).abs_diff(j % w) + (i / w).abs_diff(j / w);
+                assert_eq!(mesh.hops(c, CoreId::new(j)), manhattan, "{w}x{h} {i}->{j}");
+            }
+        }
+    }
+}
+
+// ---------------- Directory home striping ----------------
+
+#[test]
+fn directory_home_matches_block_interleaving() {
+    for tiles in [16usize, 64, 12] {
+        let dir = Directory::new(tiles);
+        for case in 0..CASES {
+            let mut rng = case_rng(35 ^ tiles as u64, case);
+            for _ in 0..64 {
+                let raw = if rng.chance(0.5) {
+                    rng.range(0, 4096)
+                } else {
+                    any_u64(&mut rng) >> rng.range(0, 58)
+                };
+                let b = BlockAddr::from_index(raw);
+                assert_eq!(dir.home_of(b), b.home(tiles), "{tiles} tiles, block {raw}");
+            }
+        }
     }
 }
 
