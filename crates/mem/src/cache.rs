@@ -96,7 +96,9 @@ impl CacheConfig {
 /// are touched exactly once, on the matching way. LRU refreshes are
 /// in-place stamp stores. The global stamp clock ticks on every demand
 /// access and insert, so resident stamps are pairwise distinct and LRU
-/// victim choice is order-independent.
+/// victim choice is order-independent. A one-bit-per-set `filled` summary
+/// records which sets were filled since the last [`reset`](Self::reset),
+/// so resetting a large cache after a short run visits only those sets.
 ///
 /// # Examples
 ///
@@ -118,6 +120,11 @@ pub struct SetAssocCache<T> {
     /// One validity bitmask per set; bit `w` covers way slot
     /// `set * assoc + w`. Caps associativity at 64 ways.
     valid: Vec<u64>,
+    /// One bit per set (bit `s % 64` of word `s / 64`), set when a line
+    /// is filled into a free way of set `s` and cleared only by `reset`:
+    /// a superset of the non-empty sets, so `reset` visits only the sets
+    /// filled since the last reset instead of every mask.
+    filled: Vec<u64>,
     /// Packed per-set tag lanes (block indices), `num_sets * assoc` long.
     tags: Vec<u64>,
     /// LRU stamps parallel to `tags`.
@@ -158,6 +165,7 @@ impl<T> SetAssocCache<T> {
                 u64::MAX
             },
             valid: vec![0; num_sets],
+            filled: vec![0; num_sets.div_ceil(64)],
             tags: vec![0; slots],
             stamps: vec![0; slots],
             payloads: (0..slots).map(|_| None).collect(),
@@ -276,6 +284,7 @@ impl<T> SetAssocCache<T> {
             let way = (!mask).trailing_zeros() as usize;
             let slot = base + way;
             self.valid[set] |= 1 << way;
+            self.filled[set / 64] |= 1 << (set % 64);
             self.tags[slot] = tag;
             self.stamps[slot] = clock;
             self.payloads[slot] = Some(payload);
@@ -372,13 +381,35 @@ impl<T> SetAssocCache<T> {
         })
     }
 
-    /// Removes every line.
-    pub fn clear(&mut self) {
-        self.valid.fill(0);
-        for p in &mut self.payloads {
-            *p = None;
+    /// Returns the cache to its freshly built state: no resident lines,
+    /// and the LRU clock and hit/miss counters at zero.
+    ///
+    /// The cost is proportional to the sets filled since the last reset:
+    /// only their validity masks and resident payload slots are cleared.
+    /// Tag and stamp lanes keep whatever the invalid ways held, exactly as
+    /// after [`invalidate`](Self::invalidate): every read of a tag is
+    /// guarded by its valid bit, and a stamp is read only for victim choice
+    /// in a full set, whose ways were all stamped since they were filled.
+    /// So a reset cache behaves exactly like a new one of the same
+    /// geometry.
+    pub fn reset(&mut self) {
+        for word in 0..self.filled.len() {
+            let mut bits = std::mem::take(&mut self.filled[word]);
+            while bits != 0 {
+                let set = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let base = set * self.cfg.assoc;
+                let mut mask = std::mem::take(&mut self.valid[set]);
+                while mask != 0 {
+                    self.payloads[base + mask.trailing_zeros() as usize] = None;
+                    mask &= mask - 1;
+                }
+            }
         }
         self.lines = 0;
+        self.clock = 0;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Checks the SoA bookkeeping: the validity bitmasks agree with the
@@ -399,6 +430,9 @@ impl<T> SetAssocCache<T> {
                 ));
             }
             lines += mask.count_ones() as usize;
+            if mask != 0 && self.filled[set / 64] & (1 << (set % 64)) == 0 {
+                return Err(format!("set {set}: resident lines but no filled bit"));
+            }
             for way in 0..assoc {
                 let slot = set * assoc + way;
                 let bit = mask & (1 << way) != 0;
@@ -548,11 +582,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties() {
+    fn reset_empties_and_zeroes_counters() {
         let mut c = tiny(2, 2);
         c.insert(blk(0), 0);
-        c.clear();
+        c.lookup(blk(0));
+        c.lookup(blk(1));
+        c.reset();
         assert!(c.is_empty());
+        assert!(c.probe(blk(0)).is_none());
+        assert_eq!((c.hits(), c.misses()), (0, 0));
         assert!(c.audit().is_ok());
     }
 

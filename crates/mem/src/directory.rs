@@ -170,6 +170,21 @@ impl Directory {
         }
     }
 
+    /// Empties the directory for another run, keeping its table when the
+    /// last run's entries would fill it again.
+    ///
+    /// The table is sized for a run like the last one: it keeps its
+    /// allocation (cleared in place) when it is at most twice the size the
+    /// entries still tracked need, and is replaced by a table of that size
+    /// otherwise. The cost is proportional to the entries the last run
+    /// left, not to the largest table this directory ever grew; a run that
+    /// needs about as many entries as the last one does not grow the table,
+    /// and a small run after a large one does not spread its entries over
+    /// the large one's table.
+    pub fn reset(&mut self) {
+        self.entries.reset_for(self.entries.len());
+    }
+
     /// Number of blocks with at least one cached copy.
     pub fn tracked_blocks(&self) -> usize {
         self.entries.len()
@@ -266,6 +281,19 @@ mod tests {
         let mut dir = Directory::new(16);
         dir.record_drop(blk(9), core(0));
         assert_eq!(dir.tracked_blocks(), 0);
+    }
+
+    #[test]
+    fn reset_forgets_every_block() {
+        let mut dir = Directory::new(16);
+        for i in 0..100 {
+            dir.record_exclusive(blk(i), core(i as usize % 16));
+        }
+        dir.reset();
+        assert_eq!(dir.tracked_blocks(), 0);
+        assert!(dir.entry(blk(70)).is_uncached());
+        dir.record_shared(blk(70), core(1));
+        assert_eq!(dir.entry(blk(70)).owner, Some(core(1)));
     }
 
     #[test]

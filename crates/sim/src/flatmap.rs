@@ -94,6 +94,23 @@ impl<V> FlatMap<V> {
         self.len = 0;
     }
 
+    /// Removes every entry and leaves a table that holds `n` entries
+    /// without growing: the current allocation, cleared in place, unless it
+    /// is more than twice the size `n` needs, in which case a table of
+    /// that size replaces it.
+    ///
+    /// The cost is proportional to `n`, whatever the current capacity, and
+    /// a table reused for a workload like the last one (`n` = the last
+    /// workload's size) neither grows nor stays much larger than it needs,
+    /// which would scatter a small workload's entries over more memory.
+    pub fn reset_for(&mut self, n: usize) {
+        if self.slots.len() > 2 * Self::capacity_for(n) {
+            *self = FlatMap::with_capacity(n);
+        } else {
+            self.clear();
+        }
+    }
+
     /// Preferred slot of `key` for the current capacity.
     #[inline]
     fn home(&self, key: u64) -> usize {
@@ -362,6 +379,26 @@ mod tests {
         assert_eq!(m.capacity(), cap);
         assert_eq!(m.get(7), None);
         m.insert(7, 7);
+        assert_eq!(m.get(7), Some(&7));
+    }
+
+    #[test]
+    fn reset_for_keeps_a_fitting_table_and_shrinks_an_oversized_one() {
+        let mut m = FlatMap::new();
+        for k in 0..1000u64 {
+            m.insert(k, k);
+        }
+        let cap = m.capacity();
+        m.reset_for(600);
+        assert!(m.is_empty());
+        assert_eq!(m.capacity(), cap, "a table within 2x of the need is kept");
+        m.reset_for(10);
+        assert_eq!(m.capacity(), FlatMap::<u64>::with_capacity(10).capacity());
+        assert_eq!(m.get(7), None);
+        for k in 0..10u64 {
+            m.insert(k, k);
+        }
+        assert_eq!(m.capacity(), FlatMap::<u64>::with_capacity(10).capacity());
         assert_eq!(m.get(7), Some(&7));
     }
 

@@ -6,7 +6,7 @@
 //! but the §5.5 thread-migration scenario rotates the mapping at barrier
 //! releases, with optional logical-ID signature tracking.
 
-use crate::config::{ProtocolKind, RunConfig};
+use crate::config::{MachineConfig, ProtocolKind, RunConfig};
 use crate::filter::RegionTracker;
 use crate::metrics::{EpochRecord, RunStats};
 use crate::predictor_slot::PredictorSlot;
@@ -18,12 +18,79 @@ use spcp_noc::{Fabric, MsgKind};
 use spcp_sim::{CoreId, CoreSet, Cycle, ReadyQueue};
 use spcp_sync::{EpochInstance, EpochTracker, StaticSyncId, SyncKind, SyncPoint};
 use spcp_workloads::{Op, Workload};
+use std::cell::Cell;
 
 /// One physical tile: the private cache hierarchy.
 #[derive(Debug)]
 struct Tile {
     l1: SetAssocCache<()>,
     l2: SetAssocCache<LineState>,
+}
+
+/// The parts of a machine that its shape fixes and that dominate its
+/// construction cost: every tile's caches (about 4.6 MB of lanes at 16
+/// cores), the directory table and the NoC reservation table.
+///
+/// A run that completes parks its hardware in its thread's spare slot, and
+/// the next run on that thread with the same shape (core count, L1 and L2
+/// geometry, NoC) resets it instead of allocating and zeroing it again.
+/// Everything else is built fresh for every run.
+#[derive(Debug)]
+struct Hardware {
+    tiles: Vec<Tile>,
+    dir: Directory,
+    fabric: Fabric,
+}
+
+thread_local! {
+    /// The hardware this thread's last completed run left behind. A run
+    /// takes it before simulating, so a run that panics leaves the slot
+    /// empty and the next run builds afresh.
+    static SPARE: Cell<Option<Hardware>> = const { Cell::new(None) };
+}
+
+impl Hardware {
+    /// Hardware for `machine`, in its freshly built state: the thread's
+    /// spare when its shape matches, otherwise newly built.
+    fn for_machine(machine: &MachineConfig) -> Self {
+        if let Some(mut hw) = SPARE.take() {
+            if hw.fits(machine) {
+                hw.reset();
+                return hw;
+            }
+        }
+        Hardware {
+            tiles: (0..machine.num_cores)
+                .map(|_| Tile {
+                    l1: SetAssocCache::new(machine.l1),
+                    l2: SetAssocCache::new(machine.l2),
+                })
+                .collect(),
+            dir: Directory::new(machine.num_cores),
+            fabric: Fabric::new(machine.noc.clone()),
+        }
+    }
+
+    /// Whether this hardware has the shape `machine` asks for.
+    fn fits(&self, machine: &MachineConfig) -> bool {
+        self.tiles.len() == machine.num_cores
+            && self
+                .tiles
+                .first()
+                .is_some_and(|t| *t.l1.config() == machine.l1 && *t.l2.config() == machine.l2)
+            && *self.fabric.config() == machine.noc
+    }
+
+    /// Returns the hardware to its freshly built state in time
+    /// proportional to what the last run left behind.
+    fn reset(&mut self) {
+        self.dir.reset();
+        for tile in &mut self.tiles {
+            tile.l1.reset();
+            tile.l2.reset();
+        }
+        self.fabric.reset();
+    }
 }
 
 /// One logical thread's prediction and characterization state (moves with
@@ -132,6 +199,10 @@ impl ArrivalScratch {
 
 /// The full machine. Construct indirectly through
 /// [`CmpSystem::run_workload`].
+///
+/// Each thread keeps the caches, directory and NoC of its last completed
+/// run and reuses them, reset, for its next run of the same machine shape;
+/// results are identical to those of a freshly built machine.
 #[derive(Debug)]
 pub struct CmpSystem {
     cfg: RunConfig,
@@ -212,12 +283,7 @@ impl CmpSystem {
             Some(crate::config::PredictorKind::Sp(sp)) => sp.history_depth,
             _ => 2,
         });
-        let tiles = (0..num_cores)
-            .map(|_| Tile {
-                l1: SetAssocCache::new(machine.l1),
-                l2: SetAssocCache::new(machine.l2),
-            })
-            .collect();
+        let Hardware { tiles, dir, fabric } = Hardware::for_machine(&machine);
         let threads = (0..num_cores)
             .map(|i| {
                 let mut predictor = match cfg.protocol.predictor() {
@@ -255,8 +321,8 @@ impl CmpSystem {
         CmpSystem {
             proto: ProtoDispatch::of(&cfg.protocol),
             arrival: ArrivalScratch::new(),
-            fabric: Fabric::new(machine.noc.clone()),
-            dir: Directory::new(num_cores),
+            fabric,
+            dir,
             tiles,
             threads,
             thread_core: (0..num_cores).collect(),
@@ -1287,6 +1353,8 @@ impl CmpSystem {
         Ok(())
     }
 
+    /// Collects the run's statistics and parks the hardware in this
+    /// thread's spare slot for the next run.
     fn into_stats(mut self) -> RunStats {
         // Flush the trailing epoch records.
         if self.cfg.record_epochs {
@@ -1311,6 +1379,11 @@ impl CmpSystem {
         if self.cfg.record_epochs {
             stats.epoch_records = self.threads.into_iter().map(|t| t.records).collect();
         }
+        SPARE.set(Some(Hardware {
+            tiles: self.tiles,
+            dir: self.dir,
+            fabric: self.fabric,
+        }));
         stats
     }
 }

@@ -1,8 +1,8 @@
 //! The synchronization runtime: global barriers and queued locks.
 
-use spcp_sim::{CoreId, Cycle};
+use spcp_sim::{CoreId, Cycle, FlatMap};
 use spcp_sync::LockId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A rendezvous barrier over `n` cores.
 ///
@@ -61,17 +61,27 @@ impl BarrierState {
     }
 }
 
+/// One lock's runtime state; the default is a lock never touched.
+#[derive(Debug, Default)]
+struct LockSlot {
+    /// Current holder, if held.
+    holder: Option<CoreId>,
+    /// Pending acquirers in arrival order.
+    queue: VecDeque<(CoreId, Cycle)>,
+    /// Most recent releaser.
+    last_holder: Option<CoreId>,
+    /// Time at which the lock was last released.
+    free_at: Cycle,
+}
+
 /// The machine's lock runtime: FIFO-queued mutexes with holder tracking.
+///
+/// Lock state lives in one flat table keyed by the raw [`LockId`] (text
+/// specs choose their lock ids, so an id can be any `u32`), which each
+/// lock and unlock touches once.
 #[derive(Debug, Default)]
 pub struct LockRuntime {
-    /// `lock -> (current holder, release time if released)`.
-    holder: HashMap<LockId, CoreId>,
-    /// Pending acquirers in arrival order.
-    queue: HashMap<LockId, VecDeque<(CoreId, Cycle)>>,
-    /// Most recent releaser of each lock.
-    last_holder: HashMap<LockId, CoreId>,
-    /// Time at which each lock was last released.
-    free_at: HashMap<LockId, Cycle>,
+    locks: FlatMap<LockSlot>,
     transfer_cost: u64,
 }
 
@@ -98,22 +108,28 @@ impl LockRuntime {
         }
     }
 
+    fn slot(&self, lock: LockId) -> Option<&LockSlot> {
+        self.locks.get(u64::from(lock.raw()))
+    }
+
     /// `core` attempts to acquire `lock` at `time`.
     pub fn acquire(&mut self, lock: LockId, core: CoreId, time: Cycle) -> Acquire {
-        if self.holder.contains_key(&lock) {
-            self.queue.entry(lock).or_default().push_back((core, time));
+        let slot = self
+            .locks
+            .get_or_insert_with(u64::from(lock.raw()), LockSlot::default);
+        if slot.holder.is_some() {
+            slot.queue.push_back((core, time));
             return Acquire::Queued;
         }
-        self.holder.insert(lock, core);
-        let free_at = self.free_at.get(&lock).copied().unwrap_or(Cycle::ZERO);
-        let prev = self.last_holder.get(&lock).copied();
+        slot.holder = Some(core);
+        let prev = slot.last_holder;
         let cost = if prev.is_some() {
             self.transfer_cost
         } else {
             0
         };
         Acquire::Granted {
-            at: time.max(free_at) + cost,
+            at: time.max(slot.free_at) + cost,
             prev_holder: prev,
         }
     }
@@ -132,29 +148,35 @@ impl LockRuntime {
         core: CoreId,
         time: Cycle,
     ) -> Option<(CoreId, Cycle, CoreId)> {
-        let h = self.holder.remove(&lock);
-        assert_eq!(h, Some(core), "release by non-holder");
-        self.last_holder.insert(lock, core);
-        self.free_at.insert(lock, time);
-        let (next, arrived) = self.queue.get_mut(&lock).and_then(|q| q.pop_front())?;
-        self.holder.insert(lock, next);
+        let held_by = self
+            .locks
+            .get_mut(u64::from(lock.raw()))
+            .filter(|slot| slot.holder == Some(core));
+        let Some(slot) = held_by else {
+            panic!("release by non-holder: {core} does not hold {lock}");
+        };
+        slot.last_holder = Some(core);
+        slot.free_at = time;
+        slot.holder = None;
+        let (next, arrived) = slot.queue.pop_front()?;
+        slot.holder = Some(next);
         let grant = time.max(arrived) + self.transfer_cost;
         Some((next, grant, core))
     }
 
     /// The previous holder of `lock`, if any.
     pub fn last_holder(&self, lock: LockId) -> Option<CoreId> {
-        self.last_holder.get(&lock).copied()
+        self.slot(lock).and_then(|s| s.last_holder)
     }
 
     /// Whether `lock` is currently held.
     pub fn is_held(&self, lock: LockId) -> bool {
-        self.holder.contains_key(&lock)
+        self.slot(lock).is_some_and(|s| s.holder.is_some())
     }
 
     /// Number of cores waiting on `lock`.
     pub fn waiters(&self, lock: LockId) -> usize {
-        self.queue.get(&lock).map(|q| q.len()).unwrap_or(0)
+        self.slot(lock).map_or(0, |s| s.queue.len())
     }
 }
 

@@ -50,6 +50,9 @@ cargo test -q --offline --features invariants --test soa_equivalence
 step "lockstep smoke with optimizations on (layout bugs surface in release)"
 cargo test -q --release --offline --test soa_equivalence
 
+step "machine reuse lockstep, optimized: reused machines match fresh ones"
+cargo test --release --offline --test machine_reuse
+
 step "trace codec and race analyzer against their reference ports, optimized"
 cargo test --release --offline --test trace_equivalence
 

@@ -2,14 +2,18 @@
 //!
 //! A counting global allocator measures heap allocations inside
 //! `CmpSystem::run_workload` for two runs of the same benchmark that
-//! differ only in dynamic length (phase iterations ×1 vs ×4). Setup
-//! allocations — caches, the directory's flat table growing to its
-//! high-water capacity, stats buffers — are identical for both, so the
-//! *difference* in allocation counts is what the extra simulated accesses
-//! cost. The flat-table hot path (FlatMap directory, flat link table,
-//! RouteIter, ArrivalScratch, CommMatrix) makes that cost ~zero, under the
-//! directory protocol and under broadcast snooping, whose every miss runs
-//! the snoop fan-out kernel (`Fabric::fanout` / `fanin_untimed`).
+//! differ only in dynamic length (phase iterations ×1 vs ×4). An uncounted
+//! warm-up run of the same machine shape comes first, so both counted runs
+//! reuse the thread's spare caches, directory table and NoC, and their
+//! setup allocations — stats buffers, predictors, run queues — are
+//! identical. The *difference* in allocation counts is then what the extra
+//! simulated accesses cost. The flat-table hot path (FlatMap directory,
+//! flat link table, RouteIter, ArrivalScratch, CommMatrix) makes that cost
+//! ~zero, under the directory protocol and under broadcast snooping, whose
+//! every miss runs the snoop fan-out kernel (`Fabric::fanout` /
+//! `fanin_untimed`). A second run of the same shape must also allocate no
+//! large block: the multi-megabyte cache lanes and the directory table
+//! come from the spare, not from the allocator.
 //!
 //! The trace pipeline is pinned the same way: `write_trace` allocates
 //! the same at 1× and 4× the events, and `analyze_races` allocates the
@@ -25,7 +29,7 @@ use std::cell::Cell;
 use spcp_core::AccessKind;
 use spcp_mem::BlockAddr;
 use spcp_sim::{CoreId, CoreSet};
-use spcp_system::{CmpSystem, MachineConfig, ProtocolKind, RunConfig, RunStats};
+use spcp_system::{CmpSystem, MachineConfig, PredictorKind, ProtocolKind, RunConfig, RunStats};
 use spcp_trace::TraceEvent;
 use spcp_workloads::{suite, BenchmarkSpec};
 
@@ -36,30 +40,33 @@ struct CountingAlloc;
 thread_local! {
     /// Allocations on this thread since it armed counting, if armed.
     static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Largest single allocation, in bytes, counted since arming.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: allocations during thread teardown go uncounted.
     let _ = ALLOCS.try_with(|a| {
         if let Some(n) = a.get() {
             a.set(Some(n + 1));
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(bytes)));
         }
     });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -74,6 +81,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs `f` with this thread's allocations counted; returns its result
 /// and the count.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    LARGEST.with(|l| l.set(0));
     ALLOCS.with(|a| a.set(Some(0)));
     let out = f();
     let n = ALLOCS.with(|a| a.take()).expect("armed");
@@ -113,6 +121,9 @@ fn steady_state_access_pipeline_does_not_allocate() {
         let w4 = scaled(base, 4).generate(cores, 7);
         let cfg = RunConfig::new(MachineConfig::paper_16core(), protocol.clone());
 
+        // Warm-up: leaves this thread a spare machine of the same shape, so
+        // neither counted run pays for building one.
+        CmpSystem::run_workload(&w1, &cfg);
         let (s1, a1) = counted_run(&w1, &cfg);
         let (s4, a4) = counted_run(&w4, &cfg);
 
@@ -144,6 +155,41 @@ fn steady_state_access_pipeline_does_not_allocate() {
             "{protocol:?}: steady-state pipeline allocates: {extra_allocs} extra \
              allocations for {extra_ops} extra accesses"
         );
+    }
+}
+
+#[test]
+fn reused_machine_allocates_no_large_blocks() {
+    const LARGE: usize = 64 << 10;
+    let w = suite::by_name("fft")
+        .expect("known benchmark")
+        .generate(16, 7);
+    for protocol in [
+        ProtocolKind::Directory,
+        ProtocolKind::Predicted(PredictorKind::sp_default()),
+    ] {
+        let cfg = RunConfig::new(MachineConfig::paper_16core(), protocol.clone());
+        // A new thread starts without a spare, so its first run builds.
+        let (first, built, second, reused) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let (first, _) = counted(|| CmpSystem::run_workload(&w, &cfg));
+                let built = LARGEST.with(Cell::get);
+                let (second, _) = counted(|| CmpSystem::run_workload(&w, &cfg));
+                (first, built, second, LARGEST.with(Cell::get))
+            })
+            .join()
+            .expect("counting thread")
+        });
+        eprintln!("{protocol:?}: largest allocation {built} B built, {reused} B reused");
+        assert!(
+            built >= LARGE,
+            "{protocol:?}: building a machine allocates no large block ({built} B)"
+        );
+        assert!(
+            reused < LARGE,
+            "{protocol:?}: a same-shape run allocated a {reused} B block"
+        );
+        assert_eq!(first.exec_cycles, second.exec_cycles, "{protocol:?}");
     }
 }
 

@@ -6,7 +6,7 @@
 //! reproducible from its printed case number.
 
 use spcp::harness::frame;
-use spcp::mem::{BlockAddr, CacheConfig, Directory, SetAssocCache, BLOCK_BYTES};
+use spcp::mem::{BlockAddr, CacheConfig, DirEntry, Directory, SetAssocCache, BLOCK_BYTES};
 use spcp::noc::{Coord, Mesh};
 use spcp::predict::CommCounters;
 use spcp::sim::{CoreId, CoreSet, Cycle, DetRng, ReadyQueue};
@@ -455,6 +455,215 @@ fn cache_lookup_never_changes_occupancy() {
             );
         }
         assert!(soa.audit().is_ok(), "case {case}");
+    }
+}
+
+// ---------------- Reset equals fresh ----------------
+//
+// A machine reused across runs resets its caches, directory and fabric
+// instead of rebuilding them. Each reset structure, driven by a second
+// random stream, must answer exactly like a fresh one driven by the same
+// stream.
+
+/// One random cache operation: 0 insert, 1 lookup, 2 invalidate.
+type CacheOp = (usize, BlockAddr, u64);
+
+fn cache_ops(rng: &mut DetRng, universe: u64, n: usize) -> Vec<CacheOp> {
+    (0..n)
+        .map(|_| {
+            let b = BlockAddr::from_index(rng.range(0, universe));
+            (rng.index(3), b, rng.range(0, 1 << 20))
+        })
+        .collect()
+}
+
+/// Applies `op`, returning what the cache answered.
+fn apply_cache_op(c: &mut SetAssocCache<u64>, &(kind, b, v): &CacheOp) -> Option<(u64, u64)> {
+    match kind {
+        0 => c.insert(b, v).map(|(w, old)| (w.index(), old)),
+        1 => c.lookup(b).map(|p| (b.index(), *p)),
+        _ => c.invalidate(b).map(|old| (b.index(), old)),
+    }
+}
+
+#[test]
+fn cache_reset_behaves_as_fresh() {
+    for case in 0..CASES {
+        let mut rng = case_rng(44, case);
+        let assoc = *rng.pick(&[1usize, 2, 4, 8]);
+        let sets = *rng.pick(&[2usize, 3, 4, 8]);
+        let cfg = CacheConfig {
+            size_bytes: (assoc * sets) as u64 * BLOCK_BYTES,
+            assoc,
+            block_bytes: BLOCK_BYTES,
+            tag_cycles: 1,
+            data_cycles: 1,
+        };
+        let universe = (assoc * sets) as u64 * 3;
+        let (n1, n2) = (rng.range(0, 400) as usize, rng.range(1, 400) as usize);
+        let first = cache_ops(&mut rng, universe, n1);
+        let second = cache_ops(&mut rng, universe, n2);
+        let mut reused: SetAssocCache<u64> = SetAssocCache::new(cfg);
+        for op in &first {
+            apply_cache_op(&mut reused, op);
+        }
+        reused.reset();
+        let mut fresh: SetAssocCache<u64> = SetAssocCache::new(cfg);
+        for (i, op) in second.iter().enumerate() {
+            assert_eq!(
+                apply_cache_op(&mut reused, op),
+                apply_cache_op(&mut fresh, op),
+                "case {case} op {i}: {op:?}"
+            );
+        }
+        assert_eq!(reused.hits(), fresh.hits(), "case {case}: hits");
+        assert_eq!(reused.misses(), fresh.misses(), "case {case}: misses");
+        assert_eq!(reused.len(), fresh.len(), "case {case}: occupancy");
+        for set in 0..sets {
+            let got: Vec<(BlockAddr, u64)> = reused.set_ways(set).collect();
+            let want: Vec<(BlockAddr, u64)> = fresh.set_ways(set).collect();
+            assert_eq!(got, want, "case {case} set {set}: ways and stamps");
+        }
+        assert_eq!(reused.audit(), Ok(()), "case {case}: reused audit");
+        assert_eq!(fresh.audit(), Ok(()), "case {case}: fresh audit");
+    }
+}
+
+/// Applies one random directory update over `universe` blocks.
+fn churn_directory(rng: &mut DetRng, dir: &mut Directory, universe: u64) -> (usize, u64, usize) {
+    let op = (rng.index(4), rng.range(0, universe), rng.index(16));
+    let (b, c) = (BlockAddr::from_index(op.1), CoreId::new(op.2));
+    match op.0 {
+        0 => dir.record_exclusive(b, c),
+        1 => dir.record_shared(b, c),
+        2 => dir.record_shared_no_forward(b, c),
+        _ => dir.record_drop(b, c),
+    }
+    op
+}
+
+#[test]
+fn directory_reset_behaves_as_fresh() {
+    for case in 0..CASES {
+        let mut rng = case_rng(45, case);
+        // The first run spans up to ten times the blocks of the second, and
+        // every other case drops all but a few blocks before the reset, so
+        // the reset both keeps and replaces the table.
+        let first_universe = rng.range(1, 2000);
+        let universe = rng.range(1, 200);
+        let mut reused = Directory::new(16);
+        for _ in 0..rng.range(0, 3000) {
+            churn_directory(&mut rng, &mut reused, first_universe);
+        }
+        if case % 2 == 1 {
+            for b in (8..first_universe).map(BlockAddr::from_index) {
+                for c in 0..16 {
+                    reused.record_drop(b, CoreId::new(c));
+                }
+            }
+        }
+        reused.reset();
+        assert_eq!(
+            reused.tracked_blocks(),
+            0,
+            "case {case}: reset left entries"
+        );
+        let mut fresh = Directory::new(16);
+        let mut second = rng.fork(1);
+        let mut twin = second.clone();
+        for i in 0..rng.range(1, 400) {
+            let op = churn_directory(&mut second, &mut reused, universe);
+            churn_directory(&mut twin, &mut fresh, universe);
+            assert_eq!(
+                reused.tracked_blocks(),
+                fresh.tracked_blocks(),
+                "case {case} op {i}: {op:?}"
+            );
+        }
+        for b in (0..first_universe.max(universe)).map(BlockAddr::from_index) {
+            assert_eq!(reused.entry(b), fresh.entry(b), "case {case}: {b}");
+        }
+        let sorted = |d: &Directory| {
+            let mut v: Vec<(u64, DirEntry)> = d.iter().map(|(b, e)| (b.index(), *e)).collect();
+            v.sort_unstable_by_key(|&(b, _)| b);
+            v
+        };
+        assert_eq!(sorted(&reused), sorted(&fresh), "case {case}: entries");
+    }
+}
+
+/// Sends one random message or snoop fan-out at a random time; returns
+/// every arrival it produced.
+fn churn_fabric(rng: &mut DetRng, f: &mut spcp::noc::Fabric, nodes: usize) -> Vec<(usize, u64)> {
+    use spcp::noc::MsgKind;
+    let src = CoreId::new(rng.index(nodes));
+    let depart = Cycle::new(rng.range(0, 2_000));
+    let kind = *rng.pick(&[
+        MsgKind::Request,
+        MsgKind::DataResponse,
+        MsgKind::SnoopProbe,
+        MsgKind::InvalidateAck,
+    ]);
+    if rng.chance(0.7) {
+        let dst = CoreId::new(rng.index(nodes));
+        vec![(dst.index(), f.send(src, dst, kind, depart).as_u64())]
+    } else {
+        let targets = CoreSet::from_bits(rng.range(0, 1 << nodes));
+        let mut arrivals = Vec::new();
+        f.fanout(src, targets, kind, depart, |d, t| {
+            arrivals.push((d.index(), t.as_u64()))
+        });
+        arrivals
+    }
+}
+
+#[test]
+fn fabric_reset_behaves_as_fresh() {
+    use spcp::noc::{Direction, Fabric, Link, NocConfig};
+    for case in 0..CASES {
+        let mut rng = case_rng(72, case);
+        let cfg = NocConfig {
+            width: rng.range(1, 5) as usize,
+            height: rng.range(1, 5) as usize,
+            virtual_channels: rng.range(1, 4) as usize,
+            model_contention: rng.chance(0.8),
+            ..NocConfig::default()
+        };
+        let nodes = cfg.nodes();
+        let mut reused = Fabric::new(cfg.clone());
+        for _ in 0..rng.range(0, 300) {
+            churn_fabric(&mut rng, &mut reused, nodes);
+        }
+        reused.reset();
+        let mut fresh = Fabric::new(cfg);
+        let mut second = rng.fork(1);
+        let mut twin = second.clone();
+        for i in 0..rng.range(1, 300) {
+            assert_eq!(
+                churn_fabric(&mut second, &mut reused, nodes),
+                churn_fabric(&mut twin, &mut fresh, nodes),
+                "case {case} message {i}"
+            );
+        }
+        for from in 0..nodes {
+            for dir in [
+                Direction::East,
+                Direction::West,
+                Direction::North,
+                Direction::South,
+            ] {
+                let link = Link { from, dir };
+                assert_eq!(
+                    reused.vc_free_times(link),
+                    fresh.vc_free_times(link),
+                    "case {case}: {link:?}"
+                );
+            }
+        }
+        let (got, want) = (reused.stats(), fresh.stats());
+        assert_eq!(got, want, "case {case}: NoC stats");
+        assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "case {case}");
+        assert_eq!(reused.audit(), Ok(()), "case {case}: audit");
     }
 }
 
