@@ -41,6 +41,8 @@ USAGE:
                                                 (in-memory path only)
   spcp characterize --bench <name> [--core <n>] sync-epoch hot sets
   spcp trace --bench <name> --out <file>        collect a miss/sync trace
+      [--seed <n>] [--cores <n>]                (n = 4, 9, .., 64 cores on
+                                                a square mesh; default 16)
   spcp analyze --trace <file> [--cores <n>]     characterize a trace file
   spcp matrix --bench <name> [--protocol <p>]   communication-matrix heatmap
   spcp check [--bench <name>] [--protocol <p>]  run with coherence audits on
@@ -392,15 +394,29 @@ fn cmd_characterize(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The paper's machine with `cores` cores on a square mesh; 16 cores is
+/// the paper's 4 × 4 machine itself.
+fn square_mesh(cores: usize) -> Result<MachineConfig, String> {
+    let side = (2..=8).find(|s| s * s == cores).ok_or_else(|| {
+        format!("--cores must be a perfect square from 4 to 64 (a square mesh), got {cores}")
+    })?;
+    let mut machine = MachineConfig::paper_16core();
+    machine.num_cores = cores;
+    machine.noc.width = side;
+    machine.noc.height = side;
+    Ok(machine)
+}
+
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let bench = args.opt("bench").ok_or("trace requires --bench <name>")?;
     let out = args.opt("out").ok_or("trace requires --out <file>")?;
     let spec = suite::by_name(bench).ok_or_else(|| format!("unknown benchmark '{bench}'"))?;
     let seed: u64 = args.opt_parse("seed", 7)?;
-    let workload = spec.generate(16, seed);
+    let machine = square_mesh(args.opt_parse("cores", 16)?)?;
+    let workload = spec.generate(machine.num_cores, seed);
     let stats = CmpSystem::run_workload(
         &workload,
-        &RunConfig::new(MachineConfig::paper_16core(), ProtocolKind::Directory).tracing(),
+        &RunConfig::new(machine, ProtocolKind::Directory).tracing(),
     );
     let file = std::fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);

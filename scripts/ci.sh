@@ -108,6 +108,22 @@ if [ "$CHECK_STATUS" -ne 1 ] || ! grep -q "unordered" "$SPOOL/fft.check"; then
 fi
 head -n 2 "$SPOOL/fft.check"
 
+step "64-core trace smoke: record vips on the 8x8 mesh, characterize and race-check it"
+cargo run --release --offline -p spcp-cli -- trace --bench vips --cores 64 \
+    --out "$SPOOL/vips64.trace"
+cargo run --release --offline -p spcp-cli -- analyze --trace "$SPOOL/vips64.trace" --cores 64
+# vips shares without ordering on the 64-core machine (~43 K unordered
+# pairs): `check` must report them and exit with status 1.
+CHECK_STATUS=0
+cargo run --release --offline -q -p spcp-cli -- check --trace "$SPOOL/vips64.trace" \
+    --cores 64 > "$SPOOL/vips64.check" 2>&1 || CHECK_STATUS=$?
+if [ "$CHECK_STATUS" -ne 1 ] || ! grep -q "unordered" "$SPOOL/vips64.check"; then
+    cat "$SPOOL/vips64.check"
+    echo "check --trace --cores 64: expected exit status 1 reporting unordered pairs, got $CHECK_STATUS"
+    exit 1
+fi
+head -n 2 "$SPOOL/vips64.check"
+
 step "model checker smoke: exhaustive 2-core x 1-line enumeration"
 cargo run --release --offline -p spcp-cli -- check --model --cores 2 --lines 1
 

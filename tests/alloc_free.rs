@@ -18,7 +18,10 @@
 //! The trace pipeline is pinned the same way: `write_trace` allocates
 //! the same at 1× and 4× the events, and `analyze_races` allocates the
 //! same on a 1× and a 4× miss trace over one block set — its state grows
-//! with distinct blocks and locks, never with events.
+//! with distinct blocks and locks, never with events. Nor does it grow
+//! with cores where the trace does not: a miss trace with one core per
+//! block allocates no larger block on a 64-core machine than on a
+//! 16-core one, beyond the 64 × 64 clock slab itself.
 //!
 //! Counting is per thread, so the tests can run side by side: only the
 //! thread inside a counting window is counted.
@@ -267,4 +270,40 @@ fn race_analysis_allocations_grow_with_blocks_not_events() {
         t4.len()
     );
     assert_eq!(a1, a4, "analyze_races allocates per event");
+}
+
+#[test]
+fn race_analysis_state_does_not_scale_with_cores() {
+    // 20 000 blocks, each missed on by one core (cores 0..16, so the trace
+    // is valid at both sizes), the block's second miss a write that
+    // invalidates nothing. Only the core count differs between the runs.
+    const BLOCKS: u64 = 20_000;
+    let trace: Vec<TraceEvent> = (0..2 * BLOCKS)
+        .map(|k| {
+            let block = k % BLOCKS;
+            TraceEvent::Miss {
+                core: CoreId::new((block % 16) as usize),
+                block: BlockAddr::from_index(block),
+                pc: 0,
+                kind: if k < BLOCKS {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                },
+                targets: CoreSet::empty(),
+            }
+        })
+        .collect();
+    let largest = |cores: usize| {
+        let (report, _) = counted(|| spcp_verify::analyze_races(cores, &trace));
+        assert_eq!(report.misses, 2 * BLOCKS);
+        LARGEST.with(Cell::get)
+    };
+    let (at16, at64) = (largest(16), largest(64));
+    let clock_slab = 64 * 64 * std::mem::size_of::<u64>();
+    eprintln!("analyze_races: largest allocation {at16} B at 16 cores, {at64} B at 64 cores");
+    assert!(
+        at64 <= at16.max(clock_slab),
+        "64 cores allocated a {at64} B block, 16 cores at most {at16} B"
+    );
 }

@@ -21,7 +21,9 @@
 //!   adversarial traces: barrier waves with missing and out-of-order
 //!   arrivals, events between a core's barrier arrival and its wave's
 //!   completion, lock reuse, unlocks without locks, self-targets and a
-//!   few blocks reused densely.
+//!   few blocks reused densely. Long lock- and barrier-dense traces at 16
+//!   and 64 cores drive the analyzer's shared per-epoch clock rows through
+//!   many creations, drops and reuses.
 //!
 //! All randomness is `DetRng`-seeded: a failure names the case to replay.
 
@@ -632,4 +634,94 @@ fn race_reports_match_on_adversarial_traces() {
         unknown > 0 && read_pairs > 0,
         "{unknown} unknown, {read_pairs} read-only"
     );
+}
+
+/// A long trace dense in critical sections and barrier waves on `n`
+/// cores: every core's clock keeps changing outside its own component,
+/// and a small block pool keeps overwriting snapshots. Two barriers' waves
+/// are open at once, and cores that have arrived at a wave keep taking
+/// locks and missing until its last arrival, so completions overwrite
+/// clocks that moved since the arrival.
+fn sync_dense_trace(rng: &mut DetRng, n: usize, len: usize) -> Vec<TraceEvent> {
+    const BLOCKS: u64 = 48;
+    const LOCKS: u64 = 4;
+    const BARRIERS: usize = 2;
+    // Per barrier: the open wave's instance and the cores yet to arrive.
+    let mut waves: Vec<(u64, Vec<usize>)> = vec![(0, Vec::new()); BARRIERS];
+    let mut events = Vec::with_capacity(len + 8);
+    let sync = |core: usize, kind, static_id, instance| TraceEvent::Sync {
+        core: CoreId::new(core),
+        kind,
+        static_id,
+        instance,
+    };
+    let random_miss = |rng: &mut DetRng, core: usize| {
+        let mut targets = CoreSet::empty();
+        for _ in 0..rng.index(4) {
+            targets.insert(CoreId::new(rng.index(n)));
+        }
+        TraceEvent::Miss {
+            core: CoreId::new(core),
+            block: BlockAddr::from_index(rng.range(0, BLOCKS)),
+            pc: 0,
+            kind: *rng.pick(&ACCESS_KINDS),
+            targets,
+        }
+    };
+    while events.len() < len {
+        let core = rng.index(n);
+        match rng.index(100) {
+            0..=39 => {
+                // A critical section: lock, a few misses, unlock.
+                let lock = rng.range(0, LOCKS) as u32;
+                events.push(sync(core, SyncKind::Lock, lock, 0));
+                for _ in 0..1 + rng.index(4) {
+                    events.push(random_miss(rng, core));
+                }
+                events.push(sync(core, SyncKind::Unlock, lock, 0));
+            }
+            40..=64 => events.push(random_miss(rng, core)),
+            65..=94 => {
+                // The next arrival at a barrier, in a shuffled order drawn
+                // when its wave opens.
+                let b = rng.index(BARRIERS);
+                let (instance, left) = &mut waves[b];
+                if left.is_empty() {
+                    left.extend(0..n);
+                    rng.shuffle(left);
+                }
+                let c = left.pop().expect("an open wave has cores left");
+                events.push(sync(c, SyncKind::Barrier, b as u32, *instance));
+                if left.is_empty() {
+                    *instance += 1;
+                }
+            }
+            _ => {
+                let kind = *rng.pick(&[SyncKind::Join, SyncKind::Wakeup, SyncKind::Broadcast]);
+                events.push(sync(core, kind, 0, 0));
+            }
+        }
+    }
+    events
+}
+
+#[test]
+fn race_reports_match_on_sync_dense_traces() {
+    for n in [16, 64] {
+        for case in 0..4 {
+            let mut rng = case_rng(5, case ^ ((n as u64) << 8));
+            let trace = sync_dense_trace(&mut rng, n, 40_000);
+            let report = analyze_races(n, &trace);
+            assert_eq!(
+                report,
+                ref_analyze_races(n, &trace),
+                "case {case} ({n} cores)"
+            );
+            assert!(
+                !report.races.is_empty() && report.checked_pairs > report.races.len() as u64,
+                "case {case} ({n} cores): {}",
+                report.summary()
+            );
+        }
+    }
 }
