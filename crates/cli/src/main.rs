@@ -13,8 +13,8 @@ mod report;
 use std::io::Write;
 
 use args::Args;
-use spcp_harness::{golden, RunMatrix, StreamConfig, SweepEngine, SweepSummary};
-use spcp_system::{CmpSystem, CoherenceVariant, MachineConfig, ProtocolKind, RunConfig, RunStats};
+use spcp_harness::{golden, Replay, RunMatrix, StreamConfig, SweepEngine, SweepSummary};
+use spcp_system::{CmpSystem, CoherenceVariant, MachineConfig, ProtocolKind, RunConfig};
 use spcp_verify::{analyze_races, ModelChecker, ModelConfig};
 use spcp_workloads::suite;
 
@@ -38,7 +38,6 @@ USAGE:
       [--golden <file>] [--update-golden]       verify/write a golden snapshot
       [--timing]                                per-run wall-clock + ops/s
                                                 report on stderr
-                                                (in-memory path only)
   spcp characterize --bench <name> [--core <n>] sync-epoch hot sets
   spcp trace --bench <name> --out <file>        collect a miss/sync trace
       [--seed <n>] [--cores <n>]                (n = 4, 9, .., 64 cores on
@@ -148,42 +147,44 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     for (label, kind) in spcp_bench::protocols() {
         matrix = matrix.protocol(label, kind);
     }
+    let sweep = run_sweep(args, &matrix)?;
+    println!(
+        "{:<12} {:>10} {:>9} {:>12} {:>9} {:>11}",
+        "protocol", "exec", "misslat", "byte-hops", "accuracy", "storage(KB)"
+    );
+    sweep
+        .replay(&mut |spec, s, _| {
+            println!(
+                "{:<12} {:>10} {:>9.1} {:>12} {:>8.1}% {:>11.2}",
+                spec.protocol_label,
+                s.exec_cycles,
+                s.miss_latency.mean(),
+                s.noc.byte_hops,
+                s.accuracy() * 100.0,
+                s.predictor_storage_bits as f64 / 8.0 / 1024.0,
+            )
+        })
+        .map_err(|e| e.to_string())
+}
+
+/// Runs `matrix` on `--jobs` workers, spooling it under `--out` when
+/// given, and prints the harness status line on stderr.
+fn run_sweep(args: &Args, matrix: &RunMatrix) -> Result<Box<dyn Replay>, String> {
     let engine = SweepEngine::new(jobs_arg(args)?);
-    let print_header = || {
-        println!(
-            "{:<12} {:>10} {:>9} {:>12} {:>9} {:>11}",
-            "protocol", "exec", "misslat", "byte-hops", "accuracy", "storage(KB)"
-        )
-    };
-    let print_row = |label: &str, s: &RunStats| {
-        println!(
-            "{:<12} {:>10} {:>9.1} {:>12} {:>8.1}% {:>11.2}",
-            label,
-            s.exec_cycles,
-            s.miss_latency.mean(),
-            s.noc.byte_hops,
-            s.accuracy() * 100.0,
-            s.predictor_storage_bits as f64 / 8.0 / 1024.0,
-        )
-    };
-    if let Some(cfg) = stream_config_from(args)? {
-        let streamed = engine
-            .run_streamed(&matrix, &cfg)
-            .map_err(|e| e.to_string())?;
-        eprintln!("[harness] {}", streamed.status_line());
-        print_header();
-        streamed
-            .for_each_run(|spec, rec| print_row(&spec.protocol_label, &rec.stats))
-            .map_err(|e| e.to_string())?;
-    } else {
-        let result = engine.run(&matrix);
-        eprintln!("[harness] {}", result.timing_line());
-        print_header();
-        for r in &result.runs {
-            print_row(&r.spec.protocol_label, &r.stats);
+    Ok(match stream_config_from(args)? {
+        Some(cfg) => {
+            let streamed = engine
+                .run_streamed(matrix, &cfg)
+                .map_err(|e| e.to_string())?;
+            eprintln!("[harness] {}", streamed.status_line());
+            Box::new(streamed)
         }
-    }
-    Ok(())
+        None => {
+            let result = engine.run(matrix);
+            eprintln!("[harness] {}", result.timing_line());
+            Box::new(result)
+        }
+    })
 }
 
 /// Splits a comma-separated option; `None` when absent.
@@ -225,73 +226,43 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         return Err("sweep matrix is empty".into());
     }
 
-    if let Some(cfg) = stream_config_from(args)? {
-        if args.flag("timing") {
-            return Err("--timing applies to the in-memory path; drop --out".into());
-        }
-        let streamed = SweepEngine::new(jobs_arg(args)?)
-            .run_streamed(&matrix, &cfg)
-            .map_err(|e| e.to_string())?;
-        eprintln!("[harness] {}", streamed.status_line());
-        if let Some(path) = args.opt("golden") {
-            let rendered = streamed.render_golden().map_err(|e| e.to_string())?;
-            return golden_out(args, path, &rendered);
-        }
-        // Bounded-memory reporting: rows and the summary come from one
-        // replay of the spool, never a buffered run list. stdout is
-        // byte-identical to the in-memory path below.
-        sweep_rows_header();
-        let mut summary = SweepSummary::new();
-        streamed
-            .for_each_run(|spec, rec| {
-                sweep_row(&spec.id(), &rec.stats);
-                summary.observe(&rec.stats);
-            })
-            .map_err(|e| e.to_string())?;
-        sweep_footer(&summary);
-        return Ok(());
-    }
-
-    let result = SweepEngine::new(jobs_arg(args)?).run(&matrix);
+    let sweep = run_sweep(args, &matrix)?;
     // Timing goes to stderr only: stdout (and golden files) must stay
     // bit-identical across hosts and worker counts.
     if args.flag("timing") {
-        eprint!("[harness] per-run timing\n{}", result.timing_report());
-    } else {
-        eprintln!("[harness] {}", result.timing_line());
+        eprintln!("[harness] per-run timing");
+        sweep
+            .replay(&mut |spec, s, wall| {
+                let secs = wall.as_secs_f64();
+                let ops_per_sec = s.total_ops as f64 / secs.max(f64::MIN_POSITIVE);
+                eprintln!("{:<30}  {secs:>9.3}s  {ops_per_sec:>12.0} ops/s", spec.id());
+            })
+            .map_err(|e| e.to_string())?;
     }
 
     if let Some(path) = args.opt("golden") {
-        return golden_out(args, path, &golden::render(&result));
+        let rendered = golden::render_sweep(&*sweep).map_err(|e| e.to_string())?;
+        return golden_out(args, path, &rendered);
     }
 
-    sweep_rows_header();
-    for r in &result.runs {
-        sweep_row(&r.spec.id(), &r.stats);
-    }
-    sweep_footer(&result.summary());
-    Ok(())
-}
-
-fn sweep_rows_header() {
     println!(
         "{:<30} {:>10} {:>9} {:>12} {:>9}",
         "run", "exec", "misslat", "byte-hops", "accuracy"
     );
-}
-
-fn sweep_row(id: &str, s: &RunStats) {
-    println!(
-        "{:<30} {:>10} {:>9.1} {:>12} {:>8.1}%",
-        id,
-        s.exec_cycles,
-        s.miss_latency.mean(),
-        s.noc.byte_hops,
-        s.accuracy() * 100.0,
-    );
-}
-
-fn sweep_footer(summary: &SweepSummary) {
+    let mut summary = SweepSummary::new();
+    sweep
+        .replay(&mut |spec, s, _| {
+            println!(
+                "{:<30} {:>10} {:>9.1} {:>12} {:>8.1}%",
+                spec.id(),
+                s.exec_cycles,
+                s.miss_latency.mean(),
+                s.noc.byte_hops,
+                s.accuracy() * 100.0,
+            );
+            summary.observe(s);
+        })
+        .map_err(|e| e.to_string())?;
     println!(
         "---\n{} runs | {} ops | mean miss latency {:.1} | accuracy {:.1}%",
         summary.runs,
@@ -299,10 +270,10 @@ fn sweep_footer(summary: &SweepSummary) {
         summary.mean_miss_latency(),
         summary.accuracy() * 100.0,
     );
+    Ok(())
 }
 
-/// Writes or verifies a golden snapshot at `path` (shared by the streamed
-/// and in-memory sweep paths).
+/// Writes or verifies a golden snapshot at `path`.
 fn golden_out(args: &Args, path: &str, rendered: &str) -> Result<(), String> {
     let path = std::path::Path::new(path);
     if args.flag("update-golden") {
@@ -898,16 +869,6 @@ end
                 .map(String::from),
         );
         assert!(dispatch(&a).unwrap_err().contains("--out"));
-    }
-
-    #[test]
-    fn streamed_timing_is_rejected() {
-        let a = Args::parse(
-            "sweep --benches fft --protocols dir --out /tmp/spcp-unused --timing"
-                .split_whitespace()
-                .map(String::from),
-        );
-        assert!(dispatch(&a).unwrap_err().contains("in-memory"));
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! The parallel sweep engine: fans a run matrix out over a scoped worker
-//! pool and collects results in canonical matrix order.
+//! pool and hands every finished run to a sink.
+//!
+//! There is one pool (`pool`). Workers claim specs through a shared
+//! cursor, execute them, and hand each finished [`RunRecord`] to their own
+//! sink: an in-memory buffer for [`SweepEngine::run_specs`], a spool shard
+//! writer for [`SweepEngine::run_streamed`]. Either way a finished sweep is
+//! read back through [`Replay`], one run at a time in canonical order.
 //!
 //! Determinism contract: each run is an isolated single-threaded simulation
-//! keyed only by its [`RunSpec`], workers write results into per-run slots
-//! indexed by `RunSpec::index`, and aggregation walks those slots in index
-//! order. Worker count and OS scheduling therefore affect wall-clock time
-//! only — never a single bit of the statistics.
+//! keyed only by its [`RunSpec`], and every report is rebuilt in
+//! `RunSpec::index` order. Worker count and OS scheduling therefore affect
+//! wall-clock time only — never a single bit of the statistics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use spcp_system::RunStats;
 
 use crate::matrix::{RunMatrix, RunSpec};
+use crate::record::RunRecord;
+use crate::spool::SpoolError;
 use crate::summary::SweepSummary;
 
 /// Outcome of one run: stats plus the engine's own timing metadata.
@@ -27,19 +33,6 @@ pub struct RunResult {
     pub wall: Duration,
     /// Which worker slot executed the run (informational only).
     pub worker: usize,
-}
-
-impl RunResult {
-    /// Simulated memory accesses retired per wall-clock second for this
-    /// single run — the per-run analogue of
-    /// [`SweepResult::throughput_ops_per_sec`].
-    pub fn ops_per_sec(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall <= 0.0 {
-            return 0.0;
-        }
-        self.stats.total_ops as f64 / wall
-    }
 }
 
 /// All results of one sweep, in canonical matrix order.
@@ -152,33 +145,26 @@ impl SweepResult {
             self.throughput_ops_per_sec(),
         )
     }
+}
 
-    /// Multi-line per-run timing report: one `id | wall | ops/s` row per
-    /// run in canonical order, closed by the [`Self::timing_line`] totals.
+/// A finished sweep read back one run at a time in canonical matrix
+/// order: from memory ([`SweepResult`]) or from spool shards
+/// ([`crate::StreamedSweep`]). Every report is one fold over it.
+pub trait Replay {
+    /// Calls `f` once per run with its spec, statistics and wall time.
     ///
-    /// Timing is measurement metadata, not simulation output: it never
-    /// feeds [`Self::summary`] or golden snapshots, so reports vary run to
-    /// run while the statistics stay bit-identical.
-    pub fn timing_report(&self) -> String {
-        let mut out = String::new();
-        let id_width = self
-            .runs
-            .iter()
-            .map(|r| r.spec.id().len())
-            .max()
-            .unwrap_or(0)
-            .max(4);
+    /// # Errors
+    ///
+    /// Spool failures of a streamed sweep; an in-memory one never fails.
+    fn replay(&self, f: &mut dyn FnMut(&RunSpec, &RunStats, Duration)) -> Result<(), SpoolError>;
+}
+
+impl Replay for SweepResult {
+    fn replay(&self, f: &mut dyn FnMut(&RunSpec, &RunStats, Duration)) -> Result<(), SpoolError> {
         for r in &self.runs {
-            out.push_str(&format!(
-                "{:<id_width$}  {:>9.3}s  {:>12.0} ops/s\n",
-                r.spec.id(),
-                r.wall.as_secs_f64(),
-                r.ops_per_sec(),
-            ));
+            f(&r.spec, &r.stats, r.wall);
         }
-        out.push_str(&self.timing_line());
-        out.push('\n');
-        out
+        Ok(())
     }
 }
 
@@ -228,56 +214,83 @@ impl SweepEngine {
 
     /// Executes pre-expanded specs (their `index` fields define result
     /// order; they need not be contiguous).
-    pub fn run_specs(&self, specs: Vec<RunSpec>) -> SweepResult {
+    pub fn run_specs(&self, mut specs: Vec<RunSpec>) -> SweepResult {
         let started = Instant::now();
-        let n = specs.len();
-        let workers = self.jobs.min(n.max(1));
-
-        // One slot per run. Workers claim specs through a shared cursor and
-        // deposit into their spec's slot, so the collected order is the
-        // canonical matrix order no matter which worker finished first.
-        let slots: Vec<Mutex<Option<(RunStats, Duration, usize)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let specs_ref = &specs;
-
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let slots = &slots;
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let stats = specs_ref[i].execute();
-                    let wall = t0.elapsed();
-                    *slots[i].lock().unwrap() = Some((stats, wall, worker));
-                });
+        let jobs = self.workers(specs.len());
+        let mut done: Vec<Vec<RunRecord>> = vec![Vec::new(); jobs];
+        let claims: Vec<&RunSpec> = specs.iter().collect();
+        let sinks = done.iter_mut().map(|buf| {
+            move |rec| {
+                buf.push(rec);
+                Ok(())
             }
         });
+        pool(&claims, sinks.collect()).expect("in-memory sinks cannot fail");
 
-        let mut runs = Vec::with_capacity(n);
-        for (spec, slot) in specs.into_iter().zip(slots) {
-            let (stats, wall, worker) = slot
-                .into_inner()
-                .unwrap()
-                .expect("worker pool exited without filling every slot");
-            runs.push(RunResult {
+        // Each buffer holds its worker's runs; index order is canonical.
+        let mut records: Vec<RunRecord> = done.into_iter().flatten().collect();
+        records.sort_unstable_by_key(|r| r.index);
+        specs.sort_by_key(|s| s.index);
+        let runs = specs
+            .into_iter()
+            .zip(records)
+            .map(|(spec, rec)| RunResult {
                 spec,
-                stats,
-                wall,
-                worker,
-            });
-        }
-
+                stats: rec.stats,
+                wall: rec.wall,
+                worker: rec.worker,
+            })
+            .collect();
         SweepResult {
             runs,
             elapsed: started.elapsed(),
-            jobs: workers.max(1),
+            jobs,
         }
     }
+
+    /// Workers a sweep of `n` runs uses: `jobs`, but no more than runs
+    /// (and at least one).
+    pub(crate) fn workers(&self, n: usize) -> usize {
+        self.jobs.min(n.max(1))
+    }
+}
+
+/// The engine's one worker pool: one worker per sink. Workers claim
+/// `specs` through a shared cursor, execute them, and hand each finished
+/// run to their own sink, so a sink sees its runs in ascending position.
+/// Returns the first sink error once every worker has stopped.
+pub(crate) fn pool<S>(specs: &[&RunSpec], sinks: Vec<S>) -> Result<(), SpoolError>
+where
+    S: FnMut(RunRecord) -> Result<(), SpoolError> + Send,
+{
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = sinks
+            .into_iter()
+            .enumerate()
+            .map(|(worker, mut sink)| {
+                let cursor = &cursor;
+                scope.spawn(move || {
+                    while let Some(spec) = specs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let t0 = Instant::now();
+                        let stats = spec.execute();
+                        let wall = t0.elapsed();
+                        sink(RunRecord {
+                            index: spec.index,
+                            id: spec.id(),
+                            wall,
+                            worker,
+                            stats,
+                        })?;
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .try_for_each(|w| w.join().expect("sweep worker panicked"))
+    })
 }
 
 #[cfg(test)]
@@ -331,13 +344,19 @@ mod tests {
         assert!(result.speedup() > 0.0);
         assert!(result.throughput_ops_per_sec() > 0.0);
         assert!(result.timing_line().contains("jobs=2"));
-        for r in &result.runs {
-            assert!(r.ops_per_sec() > 0.0);
-        }
-        let report = result.timing_report();
-        assert!(report.contains("fft/dir/seed7/paper16"));
-        assert!(report.contains("ops/s"));
-        assert!(report.ends_with('\n'));
+        assert!(result.runs.iter().all(|r| r.wall > Duration::ZERO));
+    }
+
+    #[test]
+    fn run_specs_returns_index_order() {
+        let mut specs = small_matrix().expand();
+        specs.reverse();
+        let result = SweepEngine::new(2).run_specs(specs);
+        assert!(result
+            .runs
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.spec.index == i));
     }
 
     #[test]

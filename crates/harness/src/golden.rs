@@ -17,8 +17,9 @@ use std::path::Path;
 
 use spcp_system::RunStats;
 
-use crate::engine::{RunResult, SweepResult};
+use crate::engine::{Replay, SweepResult};
 use crate::matrix::RunSpec;
+use crate::spool::SpoolError;
 
 /// Magic first line of every golden file; bump the version when the field
 /// set changes so stale files fail loudly instead of diffing confusingly.
@@ -77,21 +78,20 @@ pub fn snapshot_run(spec: &RunSpec, stats: &RunStats) -> String {
     out
 }
 
-/// Renders a whole sweep (runs in canonical matrix order).
+/// Renders a whole in-memory sweep (runs in canonical matrix order).
 pub fn render(result: &SweepResult) -> String {
-    render_runs(&result.runs)
+    render_sweep(result).expect("an in-memory sweep replays without I/O")
 }
 
-/// Renders a slice of run results.
-pub fn render_runs(runs: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(GOLDEN_HEADER);
-    out.push('\n');
-    for r in runs {
+/// Renders any finished sweep, in memory or spooled: the header, then one
+/// [`snapshot_run`] block per run in canonical matrix order.
+pub fn render_sweep(sweep: &dyn Replay) -> Result<String, SpoolError> {
+    let mut out = format!("{GOLDEN_HEADER}\n");
+    sweep.replay(&mut |spec, stats, _| {
         out.push('\n');
-        out.push_str(&snapshot_run(&r.spec, &r.stats));
-    }
-    out
+        out.push_str(&snapshot_run(spec, stats));
+    })?;
+    Ok(out)
 }
 
 /// Why a golden check failed.

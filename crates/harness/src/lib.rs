@@ -7,8 +7,10 @@
 //!
 //! - [`RunMatrix`] / [`RunSpec`] — the declarative matrix and its canonical
 //!   expansion order,
-//! - [`SweepEngine`] — a `std::thread::scope` worker pool with per-run
-//!   wall-time and throughput metrics ([`SweepResult`]),
+//! - [`SweepEngine`] — one scoped-thread worker pool whose workers
+//!   hand each finished run to a sink (in memory or a spool shard), with
+//!   per-run wall-time and throughput metrics ([`SweepResult`]); every
+//!   finished sweep reads back through [`Replay`],
 //! - [`SweepSummary`] — exact, order-independent aggregation of
 //!   [`spcp_system::RunStats`],
 //! - [`golden`] — golden-snapshot emit/verify of run stats to a line-based
@@ -23,8 +25,8 @@
 //!
 //! For a fixed matrix, the engine produces bit-identical per-run stats and
 //! bit-identical merged summaries at any `--jobs` value. This holds
-//! because runs share no mutable state, results are collected into slots
-//! indexed by the canonical matrix order, and summaries use exact integer
+//! because runs share no mutable state, every report is rebuilt in the
+//! canonical matrix order, and summaries use exact integer
 //! accumulators whose merge is commutative and associative.
 //!
 //! # Examples
@@ -54,7 +56,7 @@ pub mod spool;
 pub mod stream;
 pub mod summary;
 
-pub use engine::{RunResult, SweepEngine, SweepResult};
+pub use engine::{Replay, RunResult, SweepEngine, SweepResult};
 pub use matrix::{MachineEntry, ProtocolEntry, RunMatrix, RunSpec, VariantEntry};
 pub use record::RunRecord;
 pub use spool::SpoolError;

@@ -120,14 +120,19 @@ fn io_err(path: &Path, error: io::Error) -> SpoolError {
 }
 
 /// Fingerprint of an expanded matrix: FNV-1a over every spec id (in
-/// canonical order) plus the spec count.
+/// canonical order, `+filter` appended to snoop-filtered cells) plus the
+/// spec count.
 ///
 /// Stored in shard headers so `--resume` refuses to mix results from a
-/// different matrix into the current sweep.
+/// different matrix into the current sweep. `validate` is left out: it
+/// checks a run without changing its stats.
 pub fn fingerprint(specs: &[RunSpec]) -> u64 {
     let mut buf = String::new();
     for spec in specs {
         buf.push_str(&spec.id());
+        if spec.snoop_filter {
+            buf.push_str("+filter");
+        }
         buf.push('\n');
     }
     buf.push_str(&specs.len().to_string());
@@ -676,5 +681,10 @@ mod tests {
         let f2 = fingerprint(&m2.expand());
         assert_ne!(f1, f2);
         assert_eq!(f1, fingerprint(&m1.expand()));
+        // Filter-off fingerprints keep their original form; validation
+        // changes no stats and so no fingerprint.
+        assert_eq!(f1, frame::checksum(b"fft/dir/seed7/paper16\n1"));
+        assert_eq!(f1, fingerprint(&m1.clone().validated().expand()));
+        assert_ne!(f1, fingerprint(&m1.with_snoop_filter().expand()));
     }
 }

@@ -1,11 +1,11 @@
 //! Streamed sweep execution: run a matrix with results spooled to disk
 //! instead of buffered in memory, with crash-safe resume.
 //!
-//! [`SweepEngine::run_streamed`] fans the matrix out over the usual scoped
-//! worker pool, but each worker appends completed runs to its own shard
-//! file ([`crate::spool`]) instead of an in-memory slot. Aggregation then
-//! replays the shards through a bounded-memory merge, so a sweep's peak
-//! memory is O(workers + one record per shard) regardless of matrix size.
+//! [`SweepEngine::run_streamed`] runs the engine's one worker pool with a
+//! spool writer as each worker's sink: completed runs are appended to the
+//! worker's own shard file ([`crate::spool`]). Aggregation then replays the
+//! shards through a bounded-memory merge, so a sweep's peak memory is
+//! O(workers + one record per shard) regardless of matrix size.
 //!
 //! Resume: a re-invocation with [`StreamConfig::resume`] scans the
 //! existing shards, treats every run with a complete (checksummed,
@@ -17,10 +17,11 @@
 use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::engine::{RunResult, SweepEngine, SweepResult};
+use spcp_system::RunStats;
+
+use crate::engine::{pool, Replay, RunResult, SweepEngine, SweepResult};
 use crate::golden;
 use crate::matrix::{RunMatrix, RunSpec};
 use crate::record::{RunRecord, ShardHeader, RECORD_VERSION};
@@ -122,66 +123,31 @@ impl SweepEngine {
         let generation = spool::next_generation(&cfg.dir)?;
 
         let started = Instant::now();
-        let n = remaining.len();
-        let total_specs = specs.len() as u64;
-        let workers = self.jobs().min(n.max(1));
-        let cursor = AtomicUsize::new(0);
-        let remaining_ref = &remaining;
-
-        let mut worker_errors: Vec<SpoolError> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let cursor = &cursor;
-                    let dir = &cfg.dir;
-                    let flush_every = cfg.flush_every;
-                    scope.spawn(move || -> Result<(), SpoolError> {
-                        let header = ShardHeader {
-                            version: RECORD_VERSION,
-                            fingerprint,
-                            specs: total_specs,
-                        };
-                        let mut writer = SpoolWriter::new(
-                            dir.join(spool::shard_name(generation, worker)),
-                            header,
-                            flush_every,
-                        );
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let spec = remaining_ref[i];
-                            let t0 = Instant::now();
-                            let stats = spec.execute();
-                            let wall = t0.elapsed();
-                            writer.append(&RunRecord {
-                                index: spec.index,
-                                id: spec.id(),
-                                wall,
-                                worker,
-                                stats,
-                            })?;
-                        }
-                        writer.finish()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                if let Err(e) = handle.join().expect("streamed sweep worker panicked") {
-                    worker_errors.push(e);
-                }
-            }
-        });
-        if let Some(e) = worker_errors.into_iter().next() {
-            return Err(e);
-        }
+        let header = ShardHeader {
+            version: RECORD_VERSION,
+            fingerprint,
+            specs: specs.len() as u64,
+        };
+        let jobs = self.workers(remaining.len());
+        let mut writers: Vec<SpoolWriter> = (0..jobs)
+            .map(|worker| {
+                let path = cfg.dir.join(spool::shard_name(generation, worker));
+                SpoolWriter::new(path, header.clone(), cfg.flush_every)
+            })
+            .collect();
+        let sinks = writers
+            .iter_mut()
+            .map(|w| move |rec: RunRecord| w.append(&rec));
+        let ran = pool(&remaining, sinks.collect());
+        // Sync every shard, even after a failed worker, before reporting.
+        let synced = writers.into_iter().try_for_each(SpoolWriter::finish);
+        ran.and(synced)?;
 
         Ok(StreamedSweep {
-            executed: n,
+            executed: remaining.len(),
             resumed: done.len(),
             elapsed: started.elapsed(),
-            jobs: workers.max(1),
+            jobs,
             specs,
             dir: cfg.dir.clone(),
             fingerprint,
@@ -309,38 +275,7 @@ impl StreamedSweep {
     /// [`golden::render`] of the equivalent in-memory sweep, without
     /// buffering runs.
     pub fn render_golden(&self) -> Result<String, SpoolError> {
-        let mut out = String::new();
-        out.push_str(golden::GOLDEN_HEADER);
-        out.push('\n');
-        self.for_each_run(|spec, rec| {
-            out.push('\n');
-            out.push_str(&golden::snapshot_run(spec, &rec.stats));
-        })?;
-        Ok(out)
-    }
-
-    /// Streams the golden snapshot to a writer (for sweeps whose rendered
-    /// text should not be buffered either).
-    pub fn write_golden<W: std::io::Write>(&self, w: &mut W) -> Result<(), SpoolError> {
-        let mut io_error: Option<std::io::Error> = None;
-        writeln!(w, "{}", golden::GOLDEN_HEADER).map_err(|e| SpoolError::Io {
-            path: self.dir.clone(),
-            error: e,
-        })?;
-        self.for_each_run(|spec, rec| {
-            if io_error.is_none() {
-                if let Err(e) = write!(w, "\n{}", golden::snapshot_run(spec, &rec.stats)) {
-                    io_error = Some(e);
-                }
-            }
-        })?;
-        match io_error {
-            Some(error) => Err(SpoolError::Io {
-                path: self.dir.clone(),
-                error,
-            }),
-            None => Ok(()),
-        }
+        golden::render_sweep(self)
     }
 
     /// Loads the whole spool into an in-memory [`SweepResult`].
@@ -378,6 +313,12 @@ impl StreamedSweep {
     }
 }
 
+impl Replay for StreamedSweep {
+    fn replay(&self, f: &mut dyn FnMut(&RunSpec, &RunStats, Duration)) -> Result<(), SpoolError> {
+        self.for_each_run(|spec, rec| f(spec, &rec.stats, rec.wall))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,9 +351,6 @@ mod tests {
         assert_eq!(streamed.resumed, 0);
         assert_eq!(streamed.summary().unwrap(), mem.summary());
         assert_eq!(streamed.render_golden().unwrap(), golden::render(&mem));
-        let mut sink = Vec::new();
-        streamed.write_golden(&mut sink).unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), golden::render(&mem));
         let loaded = streamed.into_sweep_result().unwrap();
         assert_eq!(loaded.summary(), mem.summary());
         fs::remove_dir_all(&dir).unwrap();

@@ -56,6 +56,9 @@ cargo test --release --offline --test machine_reuse
 step "trace codec and race analyzer against their reference ports, optimized"
 cargo test --release --offline --test trace_equivalence
 
+step "verify crate tests, optimized (the model checker drives the runtime audits)"
+cargo test --release --offline -p spcp-verify
+
 step "streamed sweep smoke: spool to disk, golden-verify, idle resume"
 SPOOL="$(mktemp -d)"
 trap 'rm -rf "$SPOOL"' EXIT
@@ -126,6 +129,20 @@ head -n 2 "$SPOOL/vips64.check"
 
 step "model checker smoke: exhaustive 2-core x 1-line enumeration"
 cargo run --release --offline -p spcp-cli -- check --model --cores 2 --lines 1
+
+step "benchmark smoke: every perfbench workload, traced, exits 0 with correct output"
+for WORKLOAD in paper16 mesh64 trace16 farm_tiny; do
+    BENCH_STATUS=0
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seconds 1 --trace 1 \
+        > "$SPOOL/bench-$WORKLOAD.out" 2> "$SPOOL/bench-$WORKLOAD.err" || BENCH_STATUS=$?
+    if [ "$BENCH_STATUS" -ne 0 ] || ! tail -n 1 "$SPOOL/bench-$WORKLOAD.out" | grep -q '"correct": true'; then
+        tail -n 20 "$SPOOL/bench-$WORKLOAD.err"
+        echo "perfbench $WORKLOAD: expected exit status 0 and \"correct\": true, got $BENCH_STATUS"
+        exit 1
+    fi
+    echo "perfbench $WORKLOAD: ok"
+done
 
 echo
 echo "CI passed."

@@ -136,3 +136,20 @@ fn resume_rejects_a_different_matrix() {
     let err = SweepEngine::new(2).run_streamed(&other, &StreamConfig::new(&spool.0).resume(true));
     assert!(matches!(err, Err(SpoolError::MatrixMismatch { .. })));
 }
+
+#[test]
+fn resume_rejects_a_toggled_snoop_filter() {
+    let spool = Spool::new("filter");
+    let matrix = RunMatrix::new()
+        .bench(suite::by_name("fft").unwrap())
+        .protocol("sp", ProtocolKind::Predicted(PredictorKind::sp_default()));
+    SweepEngine::new(1)
+        .run_streamed(&matrix, &StreamConfig::new(&spool.0))
+        .expect("first sweep");
+
+    // Same cell ids, but the filter changes every statistic.
+    let filtered = matrix.with_snoop_filter();
+    let err =
+        SweepEngine::new(1).run_streamed(&filtered, &StreamConfig::new(&spool.0).resume(true));
+    assert!(matches!(err, Err(SpoolError::MatrixMismatch { .. })));
+}
