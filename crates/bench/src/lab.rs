@@ -9,8 +9,8 @@ use spcp_harness::{RunMatrix, SpoolError, StreamConfig, SweepEngine, SweepResult
 /// experiment needs to run its sweeps.
 ///
 /// Without a spool every sweep runs through the in-memory engine. With
-/// one, sweep number `n` of the experiment spools to `<out>/<n>` (the
-/// experiment's [`Lab::scoped`] directory), so experiments that sweep more
+/// one, sweep number `n` of the experiment spools to `<out>/<n>` (under
+/// the experiment's own directory), so experiments that sweep more
 /// than once never share shards and `--resume` replays each sweep from its
 /// own directory.
 #[derive(Debug)]
@@ -85,8 +85,23 @@ impl Lab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spcp_system::{PredictorKind, ProtocolKind};
+    use spcp_harness::golden;
+    use spcp_system::{PredictorKind, ProtocolKind, RunStats};
     use spcp_workloads::suite;
+
+    /// A sweep's golden render plus each run's `Debug` text, without the
+    /// communication matrix, which spools leave out.
+    fn report(sweep: &SweepResult) -> String {
+        let mut out = golden::render(sweep);
+        for run in &sweep.runs {
+            let spooled = RunStats {
+                comm_matrix: Default::default(),
+                ..run.stats.clone()
+            };
+            out.push_str(&format!("{spooled:?}\n"));
+        }
+        out
+    }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("spcp-lab-{tag}-{}", std::process::id()));
@@ -104,7 +119,7 @@ mod tests {
         let mem = Lab::new(2).sweep(&matrix).unwrap();
         let cfg = StreamConfig::new(&dir).flush_every(1);
         let streamed = Lab::new(2).streamed(cfg.clone()).sweep(&matrix).unwrap();
-        assert_eq!(mem.summary(), streamed.summary());
+        assert_eq!(report(&mem), report(&streamed));
         // A second fresh run into the same spool is refused...
         assert!(Lab::new(2).streamed(cfg.clone()).sweep(&matrix).is_err());
         // ...while resuming the finished spool re-runs nothing and agrees.
@@ -112,7 +127,7 @@ mod tests {
             .streamed(cfg.resume(true))
             .sweep(&matrix)
             .unwrap();
-        assert_eq!(mem.summary(), resumed.summary());
+        assert_eq!(report(&mem), report(&resumed));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -140,14 +155,14 @@ mod tests {
         let mc = one_cell(ProtocolKind::MulticastSnoop(PredictorKind::sp_default()));
         let mem = Lab::new(1);
         let expected = [mem.sweep(&bc).unwrap(), mem.sweep(&mc).unwrap()];
-        assert_ne!(expected[0].summary(), expected[1].summary());
+        assert_ne!(report(&expected[0]), report(&expected[1]));
         for resume in [false, true] {
             let lab = Lab::new(1)
                 .streamed(StreamConfig::new(&dir).resume(resume))
                 .scoped("exp");
             for (matrix, want) in [&bc, &mc].into_iter().zip(&expected) {
                 let got = lab.sweep(matrix).unwrap();
-                assert_eq!(got.summary(), want.summary(), "resume={resume}");
+                assert_eq!(report(&got), report(want), "resume={resume}");
                 assert_eq!(
                     got.runs[0].stats.snoop_probes,
                     want.runs[0].stats.snoop_probes

@@ -13,7 +13,8 @@ mod report;
 use std::io::Write;
 
 use args::Args;
-use spcp_harness::{golden, Replay, RunMatrix, StreamConfig, SweepEngine, SweepSummary};
+use spcp_harness::{golden, Replay, RunMatrix, StreamConfig, SweepEngine};
+use spcp_sim::MeanAccumulator;
 use spcp_system::{CmpSystem, CoherenceVariant, MachineConfig, ProtocolKind, RunConfig};
 use spcp_verify::{analyze_races, ModelChecker, ModelConfig};
 use spcp_workloads::suite;
@@ -249,7 +250,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         "{:<30} {:>10} {:>9} {:>12} {:>9}",
         "run", "exec", "misslat", "byte-hops", "accuracy"
     );
-    let mut summary = SweepSummary::new();
+    let (mut runs, mut ops, mut predictions, mut sufficient) = (0u64, 0u64, 0u64, 0u64);
+    let mut latency = MeanAccumulator::new();
     sweep
         .replay(&mut |spec, s, _| {
             println!(
@@ -260,15 +262,19 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 s.noc.byte_hops,
                 s.accuracy() * 100.0,
             );
-            summary.observe(s);
+            runs += 1;
+            ops += s.total_ops;
+            latency.merge(&s.miss_latency);
+            predictions += s.predictions;
+            sufficient += s.pred_sufficient;
         })
         .map_err(|e| e.to_string())?;
+    // Pooled over every prediction of the sweep, not a mean of the rows.
+    let accuracy = sufficient as f64 / predictions.max(1) as f64;
     println!(
-        "---\n{} runs | {} ops | mean miss latency {:.1} | accuracy {:.1}%",
-        summary.runs,
-        summary.total_ops,
-        summary.mean_miss_latency(),
-        summary.accuracy() * 100.0,
+        "---\n{runs} runs | {ops} ops | mean miss latency {:.1} | accuracy {:.1}%",
+        latency.mean(),
+        accuracy * 100.0,
     );
     Ok(())
 }

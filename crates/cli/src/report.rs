@@ -1,6 +1,6 @@
 //! Human- and machine-readable run summaries.
 
-use spcp_system::RunStats;
+use spcp_system::{RunStats, SCALARS};
 
 /// Formats a one-run summary as a human-readable block.
 pub fn text_summary(s: &RunStats) -> String {
@@ -61,15 +61,16 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Formats a one-run summary as a flat JSON object (no dependencies).
+/// Formats a one-run summary as a flat JSON object (no dependencies): the
+/// run's names, every [`SCALARS`] row under its golden name, then the
+/// derived figures.
 pub fn json_summary(s: &RunStats) -> String {
-    let fields: Vec<(&str, String)> = vec![
+    let mut fields: Vec<(&str, String)> = vec![
         ("benchmark", format!("\"{}\"", json_escape(&s.benchmark))),
         ("protocol", format!("\"{}\"", json_escape(&s.protocol))),
-        ("exec_cycles", s.exec_cycles.to_string()),
-        ("l2_misses", s.l2_misses.to_string()),
-        ("comm_misses", s.comm_misses.to_string()),
-        ("noncomm_misses", s.noncomm_misses.to_string()),
+    ];
+    fields.extend(SCALARS.iter().map(|f| (f.name, (f.get)(s).to_string())));
+    fields.extend([
         ("comm_ratio", format!("{:.6}", s.comm_ratio())),
         ("miss_latency_mean", format!("{:.3}", s.miss_latency.mean())),
         (
@@ -79,17 +80,8 @@ pub fn json_summary(s: &RunStats) -> String {
         ("byte_hops", s.noc.byte_hops.to_string()),
         ("ctrl_byte_hops", s.noc.ctrl_byte_hops.to_string()),
         ("energy", format!("{:.3}", s.energy())),
-        ("predictions", s.predictions.to_string()),
-        ("pred_sufficient_comm", s.pred_sufficient_comm.to_string()),
         ("accuracy", format!("{:.6}", s.accuracy())),
-        ("indirections", s.indirections.to_string()),
-        (
-            "predictor_storage_bits",
-            s.predictor_storage_bits.to_string(),
-        ),
-        ("filtered_predictions", s.filtered_predictions.to_string()),
-        ("migrations", s.migrations.to_string()),
-    ];
+    ]);
     let body: Vec<String> = fields
         .into_iter()
         .map(|(k, v)| format!("\"{k}\":{v}"))
@@ -129,6 +121,8 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"benchmark\":\"x264\""));
         assert!(j.contains("\"accuracy\":0.75"));
+        assert!(j.contains("\"exec_cycles\":1000,"));
+        assert_eq!(j.matches(':').count(), 2 + SCALARS.len() + 7);
         // Basic structural sanity: balanced braces and quotes.
         assert_eq!(j.matches('{').count(), 1);
         assert_eq!(j.matches('}').count(), 1);

@@ -76,6 +76,13 @@ fn sweep_prints_the_same_report_in_memory_spooled_and_resumed() {
     );
 }
 
+/// The rows and the pooled footer, pinned byte for byte.
+#[test]
+fn sweep_report_matches_its_fixture() {
+    let report = ok(&SWEEP[..7]);
+    assert_eq!(report, include_str!("fixtures/sweep_fft_lu_dir_sp.out"));
+}
+
 #[test]
 fn compare_prints_the_same_table_in_memory_and_spooled() {
     let spool = Spool::new("compare");

@@ -3,6 +3,39 @@
 
 use spcp_sim::{CoreId, CoreSet};
 
+/// The hot communication set of §3.3: every core whose entry of `volumes`
+/// is at least `max(1, ceil(total × threshold))`, where `total` is the sum
+/// of `volumes`. With a `max_size` cap only that many hottest cores
+/// stay, ties broken by the lower core index for determinism.
+///
+/// # Examples
+///
+/// ```
+/// use spcp_core::hot_set;
+/// use spcp_sim::CoreSet;
+///
+/// // A total of 101: the cutoff is ceil(10.1) = 11, so only core 1 is hot.
+/// assert_eq!(hot_set(&[10, 90, 1], 101, 0.10, None), CoreSet::from_bits(0b010));
+/// assert!(hot_set(&[0, 0], 0, 0.10, None).is_empty());
+/// ```
+pub fn hot_set(volumes: &[u32], total: u64, threshold: f64, max_size: Option<usize>) -> CoreSet {
+    if total == 0 {
+        return CoreSet::empty();
+    }
+    let cutoff = ((total as f64 * threshold).ceil() as u64).max(1);
+    let hot = volumes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &v)| v as u64 >= cutoff);
+    let Some(cap) = max_size else {
+        return hot.map(|(i, _)| CoreId::new(i)).collect();
+    };
+    let mut hot: Vec<(u32, usize)> = hot.map(|(i, &v)| (v, i)).collect();
+    hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    hot.truncate(cap);
+    hot.into_iter().map(|(_, i)| CoreId::new(i)).collect()
+}
+
 /// Communication-volume counters for one core over one sync-epoch.
 ///
 /// The L2 controller increments one counter per remote data response
@@ -82,31 +115,13 @@ impl CommCounters {
         self.total = 0;
     }
 
-    /// Extracts the hot communication set: cores with at least
-    /// `threshold` fraction of the total volume, optionally capped to the
-    /// `max_size` hottest cores (the bandwidth-bounding knob of §5.2).
+    /// Extracts the hot communication set ([`hot_set`] over these
+    /// counters), optionally capped to the `max_size` hottest cores (the
+    /// bandwidth-bounding knob of §5.2).
     ///
     /// Returns the empty set when nothing was recorded.
     pub fn hot_set(&self, threshold: f64, max_size: Option<usize>) -> CoreSet {
-        if self.total == 0 {
-            return CoreSet::empty();
-        }
-        let cutoff = (self.total as f64 * threshold).ceil() as u64;
-        let cutoff = cutoff.max(1);
-        let mut hot: Vec<(u32, usize)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v as u64 >= cutoff)
-            .map(|(i, &v)| (v, i))
-            .collect();
-        if let Some(cap) = max_size {
-            // Keep the `cap` hottest; ties broken by lower core index for
-            // determinism.
-            hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            hot.truncate(cap);
-        }
-        hot.into_iter().map(|(_, i)| CoreId::new(i)).collect()
+        hot_set(&self.counts, self.total, threshold, max_size)
     }
 
     /// Cumulative fraction of total volume covered by the `k` hottest

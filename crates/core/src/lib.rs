@@ -50,7 +50,7 @@ pub mod sp;
 pub mod sptable;
 
 pub use confidence::SatCounter;
-pub use counters::CommCounters;
+pub use counters::{hot_set, CommCounters};
 pub use miss::{AccessKind, MissInfo};
 pub use predictor::{PredictionOutcome, TargetPredictor};
 pub use sp::{PredSource, SpConfig, SpPredictor, SpStats};

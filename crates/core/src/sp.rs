@@ -104,19 +104,35 @@ impl SpStats {
         self.correct_d0 + self.correct_history + self.correct_lock + self.correct_recovery
     }
 
+    /// Every counter, in declaration order: the one list that merging and
+    /// spool records walk.
+    pub fn counters_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.predictions,
+            &mut self.correct_d0,
+            &mut self.correct_history,
+            &mut self.correct_lock,
+            &mut self.correct_recovery,
+            &mut self.incorrect,
+            &mut self.no_prediction,
+            &mut self.recoveries,
+            &mut self.predicted_target_sum,
+            &mut self.signatures_stored,
+            &mut self.noisy_instances,
+        ]
+    }
+
+    /// The values of [`Self::counters_mut`].
+    pub fn counters(&self) -> [u64; 11] {
+        let mut copy = *self;
+        copy.counters_mut().map(|c| *c)
+    }
+
     /// Merges another core's stats into this one.
     pub fn merge(&mut self, o: &SpStats) {
-        self.predictions += o.predictions;
-        self.correct_d0 += o.correct_d0;
-        self.correct_history += o.correct_history;
-        self.correct_lock += o.correct_lock;
-        self.correct_recovery += o.correct_recovery;
-        self.incorrect += o.incorrect;
-        self.no_prediction += o.no_prediction;
-        self.recoveries += o.recoveries;
-        self.predicted_target_sum += o.predicted_target_sum;
-        self.signatures_stored += o.signatures_stored;
-        self.noisy_instances += o.noisy_instances;
+        for (mine, theirs) in self.counters_mut().into_iter().zip(o.counters()) {
+            *mine += theirs;
+        }
     }
 }
 

@@ -20,7 +20,6 @@ use spcp_system::RunStats;
 use crate::matrix::{RunMatrix, RunSpec};
 use crate::record::RunRecord;
 use crate::spool::SpoolError;
-use crate::summary::SweepSummary;
 
 /// Outcome of one run: stats plus the engine's own timing metadata.
 #[derive(Debug, Clone)]
@@ -47,15 +46,6 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// Aggregates every run into an order-independent [`SweepSummary`].
-    pub fn summary(&self) -> SweepSummary {
-        let mut sum = SweepSummary::new();
-        for r in &self.runs {
-            sum.observe(&r.stats);
-        }
-        sum
-    }
-
     /// Looks up one run by its matrix coordinates (first machine match).
     pub fn get(&self, bench: &str, protocol_label: &str, seed: u64) -> Option<&RunResult> {
         self.runs.iter().find(|r| {
@@ -294,10 +284,28 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::golden;
     use spcp_system::ProtocolKind;
     use spcp_workloads::suite;
+
+    /// Everything a report can read of a sweep: its golden render plus
+    /// each run's `Debug` text, without the communication matrix, which
+    /// spools leave out.
+    pub(crate) fn report_text(sweep: &dyn Replay) -> String {
+        let mut out = golden::render_sweep(sweep).expect("replay");
+        sweep
+            .replay(&mut |_, stats, _| {
+                let spooled = RunStats {
+                    comm_matrix: Default::default(),
+                    ..stats.clone()
+                };
+                out.push_str(&format!("{spooled:?}\n"));
+            })
+            .expect("replay");
+        out
+    }
 
     fn small_matrix() -> RunMatrix {
         RunMatrix::new()
@@ -327,13 +335,7 @@ mod tests {
     fn worker_count_does_not_change_stats() {
         let serial = SweepEngine::new(1).run(&small_matrix());
         let parallel = SweepEngine::new(4).run(&small_matrix());
-        for (a, b) in serial.runs.iter().zip(&parallel.runs) {
-            assert_eq!(a.spec.id(), b.spec.id());
-            assert_eq!(a.stats.exec_cycles, b.stats.exec_cycles);
-            assert_eq!(a.stats.noc.byte_hops, b.stats.noc.byte_hops);
-            assert_eq!(a.stats.total_ops, b.stats.total_ops);
-        }
-        assert_eq!(serial.summary(), parallel.summary());
+        assert_eq!(report_text(&serial), report_text(&parallel));
     }
 
     #[test]
@@ -368,6 +370,9 @@ mod tests {
     fn empty_spec_list_is_fine() {
         let result = SweepEngine::new(4).run_specs(Vec::new());
         assert!(result.runs.is_empty());
-        assert_eq!(result.summary(), SweepSummary::new());
+        assert_eq!(
+            golden::render(&result),
+            format!("{}\n", golden::GOLDEN_HEADER)
+        );
     }
 }

@@ -11,70 +11,33 @@
 //! behind the `UPDATE_GOLDEN=1` environment variable so CI can never
 //! silently rewrite its own reference data.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
 
-use spcp_system::RunStats;
+use spcp_system::{RunStats, SCALARS};
 
 use crate::engine::{Replay, SweepResult};
 use crate::matrix::RunSpec;
 use crate::spool::SpoolError;
 
 /// Magic first line of every golden file; bump the version when the field
-/// set changes so stale files fail loudly instead of diffing confusingly.
+/// set ([`SCALARS`]) changes so stale files fail loudly instead of diffing
+/// confusingly.
 pub const GOLDEN_HEADER: &str = "# spcp golden v2";
 
-/// Renders the snapshot of one run.
+/// Renders the snapshot of one run: its `[run …]` line, then one
+/// `name = value` line per row of [`SCALARS`].
 pub fn snapshot_run(spec: &RunSpec, stats: &RunStats) -> String {
     let mut out = String::with_capacity(1024);
-    out.push_str(&format!(
-        "[run {} {} seed={} machine={} cores={}]\n",
+    let _ = writeln!(
+        out,
+        "[run {} {} seed={} machine={} cores={}]",
         spec.bench.name, spec.protocol_label, spec.seed, spec.machine_label, spec.machine.num_cores
-    ));
-    let mut field = |name: &str, value: u128| {
-        out.push_str(&format!("{name} = {value}\n"));
-    };
-    field("total_ops", stats.total_ops as u128);
-    field("loads", stats.loads as u128);
-    field("stores", stats.stores as u128);
-    field("l1_hits", stats.l1_hits as u128);
-    field("l2_hits", stats.l2_hits as u128);
-    field("l2_misses", stats.l2_misses as u128);
-    field("upgrades", stats.upgrades as u128);
-    field("comm_misses", stats.comm_misses as u128);
-    field("noncomm_misses", stats.noncomm_misses as u128);
-    field("exec_cycles", stats.exec_cycles as u128);
-    field("miss_latency_sum", stats.miss_latency.sum());
-    field("miss_latency_count", stats.miss_latency.count() as u128);
-    field("comm_miss_latency_sum", stats.comm_miss_latency.sum());
-    field(
-        "comm_miss_latency_count",
-        stats.comm_miss_latency.count() as u128,
     );
-    field("noc_messages", stats.noc.messages as u128);
-    field("noc_bytes_injected", stats.noc.bytes_injected as u128);
-    field("noc_byte_hops", stats.noc.byte_hops as u128);
-    field("noc_ctrl_byte_hops", stats.noc.ctrl_byte_hops as u128);
-    field("noc_contention_cycles", stats.noc.contention_cycles as u128);
-    field("noc_energy_bits", stats.noc.energy.to_bits() as u128);
-    field("snoop_probes", stats.snoop_probes as u128);
-    field("snoop_energy_bits", stats.snoop_energy.to_bits() as u128);
-    field("predictions", stats.predictions as u128);
-    field("pred_sufficient", stats.pred_sufficient as u128);
-    field("pred_sufficient_comm", stats.pred_sufficient_comm as u128);
-    field("pred_insufficient", stats.pred_insufficient as u128);
-    field("indirections", stats.indirections as u128);
-    field("predicted_set_sum", stats.predicted_set_sum as u128);
-    field("pred_overhead_comm", stats.pred_overhead_comm as u128);
-    field("pred_overhead_noncomm", stats.pred_overhead_noncomm as u128);
-    field("actual_set_sum", stats.actual_set_sum as u128);
-    field(
-        "predictor_storage_bits",
-        stats.predictor_storage_bits as u128,
-    );
-    field("filtered_predictions", stats.filtered_predictions as u128);
-    field("migrations", stats.migrations as u128);
+    for scalar in &SCALARS {
+        let _ = writeln!(out, "{} = {}", scalar.name, (scalar.get)(stats));
+    }
     out
 }
 

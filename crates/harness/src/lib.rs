@@ -11,8 +11,6 @@
 //!   hand each finished run to a sink (in memory or a spool shard), with
 //!   per-run wall-time and throughput metrics ([`SweepResult`]); every
 //!   finished sweep reads back through [`Replay`],
-//! - [`SweepSummary`] — exact, order-independent aggregation of
-//!   [`spcp_system::RunStats`],
 //! - [`golden`] — golden-snapshot emit/verify of run stats to a line-based
 //!   text format (see `docs/HARNESS.md` and `docs/FORMATS.md`),
 //! - [`stream`] / [`spool`] / [`frame`] — streamed sweeps: workers append
@@ -24,15 +22,14 @@
 //! # Determinism guarantees
 //!
 //! For a fixed matrix, the engine produces bit-identical per-run stats and
-//! bit-identical merged summaries at any `--jobs` value. This holds
-//! because runs share no mutable state, every report is rebuilt in the
-//! canonical matrix order, and summaries use exact integer
-//! accumulators whose merge is commutative and associative.
+//! bit-identical reports at any `--jobs` value. This holds because runs
+//! share no mutable state and every report is one fold over [`Replay`] in
+//! the canonical matrix order.
 //!
 //! # Examples
 //!
 //! ```
-//! use spcp_harness::{RunMatrix, SweepEngine};
+//! use spcp_harness::{golden, RunMatrix, SweepEngine};
 //! use spcp_system::ProtocolKind;
 //! use spcp_workloads::suite;
 //!
@@ -42,7 +39,7 @@
 //!     .protocol("bc", ProtocolKind::Broadcast);
 //! let serial = SweepEngine::new(1).run(&matrix);
 //! let parallel = SweepEngine::new(4).run(&matrix);
-//! assert_eq!(serial.summary(), parallel.summary());
+//! assert_eq!(golden::render(&serial), golden::render(&parallel));
 //! ```
 
 #![warn(missing_docs)]
@@ -54,11 +51,9 @@ pub mod matrix;
 pub mod record;
 pub mod spool;
 pub mod stream;
-pub mod summary;
 
 pub use engine::{Replay, RunResult, SweepEngine, SweepResult};
 pub use matrix::{MachineEntry, ProtocolEntry, RunMatrix, RunSpec, VariantEntry};
 pub use record::RunRecord;
 pub use spool::SpoolError;
 pub use stream::{StreamConfig, StreamedSweep};
-pub use summary::SweepSummary;

@@ -2,10 +2,10 @@
 //!
 //! Every completed run is one flat JSON object holding the run's identity
 //! (`index`, `id`), the engine's timing metadata, and the exact integer
-//! moments of its statistics. Floating-point fields (`NocStats::energy`,
-//! `RunStats::snoop_energy`) are stored as their IEEE-754 bit patterns so
-//! the round trip is bit-exact; `MeanAccumulator` and `Histogram` travel
-//! as their raw integer parts.
+//! parts of its statistics: one key per row of [`SCALARS`], under the
+//! golden snapshot's names and in its order, then what the golden does
+//! not show (the latency extremes and histogram). Floating-point fields
+//! travel as their IEEE-754 bit patterns, so the round trip is bit-exact.
 //!
 //! The codec is deliberately tiny and dependency-free: values are
 //! unsigned integers (up to `u128`), strings, or arrays of unsigned
@@ -22,10 +22,10 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use spcp_sim::{Histogram, MeanAccumulator};
-use spcp_system::RunStats;
+use spcp_system::{RunStats, SCALARS};
 
 /// Spool format version stamped into every record and shard header.
-pub const RECORD_VERSION: u64 = 1;
+pub const RECORD_VERSION: u64 = 2;
 
 /// One completed run as it travels through a spool file.
 #[derive(Debug, Clone)]
@@ -317,147 +317,6 @@ fn get_arr_u64(map: &HashMap<String, Val>, key: &str) -> Result<Vec<u64>, String
     }
 }
 
-/// One row of the plain-`u64` statistics field table: key, getter, setter.
-type U64Field = (&'static str, fn(&RunStats) -> u64, fn(&mut RunStats, u64));
-
-/// The `(key, getter, setter)` table of plain `u64` statistics fields —
-/// one place to keep encode and decode in lockstep.
-const U64_FIELDS: [U64Field; 23] = [
-    ("total_ops", |s| s.total_ops, |s, v| s.total_ops = v),
-    ("loads", |s| s.loads, |s, v| s.loads = v),
-    ("stores", |s| s.stores, |s, v| s.stores = v),
-    ("l1_hits", |s| s.l1_hits, |s, v| s.l1_hits = v),
-    ("l2_hits", |s| s.l2_hits, |s, v| s.l2_hits = v),
-    ("l2_misses", |s| s.l2_misses, |s, v| s.l2_misses = v),
-    ("upgrades", |s| s.upgrades, |s, v| s.upgrades = v),
-    ("comm_misses", |s| s.comm_misses, |s, v| s.comm_misses = v),
-    (
-        "noncomm_misses",
-        |s| s.noncomm_misses,
-        |s, v| s.noncomm_misses = v,
-    ),
-    ("exec_cycles", |s| s.exec_cycles, |s, v| s.exec_cycles = v),
-    (
-        "snoop_probes",
-        |s| s.snoop_probes,
-        |s, v| s.snoop_probes = v,
-    ),
-    ("predictions", |s| s.predictions, |s, v| s.predictions = v),
-    (
-        "pred_sufficient",
-        |s| s.pred_sufficient,
-        |s, v| s.pred_sufficient = v,
-    ),
-    (
-        "pred_sufficient_comm",
-        |s| s.pred_sufficient_comm,
-        |s, v| s.pred_sufficient_comm = v,
-    ),
-    (
-        "pred_insufficient",
-        |s| s.pred_insufficient,
-        |s, v| s.pred_insufficient = v,
-    ),
-    (
-        "indirections",
-        |s| s.indirections,
-        |s, v| s.indirections = v,
-    ),
-    (
-        "predicted_set_sum",
-        |s| s.predicted_set_sum,
-        |s, v| s.predicted_set_sum = v,
-    ),
-    (
-        "actual_set_sum",
-        |s| s.actual_set_sum,
-        |s, v| s.actual_set_sum = v,
-    ),
-    (
-        "predictor_storage_bits",
-        |s| s.predictor_storage_bits,
-        |s, v| s.predictor_storage_bits = v,
-    ),
-    (
-        "pred_overhead_comm",
-        |s| s.pred_overhead_comm,
-        |s, v| s.pred_overhead_comm = v,
-    ),
-    (
-        "pred_overhead_noncomm",
-        |s| s.pred_overhead_noncomm,
-        |s, v| s.pred_overhead_noncomm = v,
-    ),
-    (
-        "filtered_predictions",
-        |s| s.filtered_predictions,
-        |s, v| s.filtered_predictions = v,
-    ),
-    ("migrations", |s| s.migrations, |s, v| s.migrations = v),
-];
-
-/// Writes SP's per-source counters (SP runs only) as one array, in
-/// `SpStats` declaration order.
-fn write_sp(w: &mut ObjWriter, s: &RunStats) {
-    if let Some(sp) = &s.sp {
-        let counters = [
-            sp.predictions,
-            sp.correct_d0,
-            sp.correct_history,
-            sp.correct_lock,
-            sp.correct_recovery,
-            sp.incorrect,
-            sp.no_prediction,
-            sp.recoveries,
-            sp.predicted_target_sum,
-            sp.signatures_stored,
-            sp.noisy_instances,
-        ];
-        w.arr("sp", counters.map(u128::from));
-    }
-}
-
-/// Reads the counters [`write_sp`] wrote, when the record has them.
-fn read_sp(map: &HashMap<String, Val>, s: &mut RunStats) -> Result<(), String> {
-    if !map.contains_key("sp") {
-        return Ok(());
-    }
-    let counters: [u64; 11] = get_arr_u64(map, "sp")?
-        .try_into()
-        .map_err(|_| "field 'sp' needs 11 counters")?;
-    let sp = s.sp.insert(Default::default());
-    [
-        sp.predictions,
-        sp.correct_d0,
-        sp.correct_history,
-        sp.correct_lock,
-        sp.correct_recovery,
-        sp.incorrect,
-        sp.no_prediction,
-        sp.recoveries,
-        sp.predicted_target_sum,
-        sp.signatures_stored,
-        sp.noisy_instances,
-    ] = counters;
-    Ok(())
-}
-
-fn write_mean(w: &mut ObjWriter, prefix: &str, m: &MeanAccumulator) {
-    w.num(&format!("{prefix}_sum"), m.sum());
-    w.num(&format!("{prefix}_count"), m.count() as u128);
-    w.num(&format!("{prefix}_min"), m.raw_min() as u128);
-    w.num(&format!("{prefix}_max"), m.raw_max() as u128);
-}
-
-fn read_mean(map: &HashMap<String, Val>, prefix: &str) -> Result<MeanAccumulator, String> {
-    Ok(MeanAccumulator::from_parts(
-        get_num(map, &format!("{prefix}_sum"))?,
-        get_u64(map, &format!("{prefix}_count"))?,
-        get_u64(map, &format!("{prefix}_min"))?,
-        get_u64(map, &format!("{prefix}_max"))?,
-    ))
-}
-
 /// Encodes a run record as one flat JSON object (the frame payload).
 pub fn encode_record(rec: &RunRecord) -> String {
     let mut w = ObjWriter::new();
@@ -470,30 +329,30 @@ pub fn encode_record(rec: &RunRecord) -> String {
     let s = &rec.stats;
     w.str("benchmark", &s.benchmark);
     w.str("protocol", &s.protocol);
-    for (key, get, _) in U64_FIELDS {
-        w.num(key, get(s) as u128);
+    for scalar in &SCALARS {
+        w.num(scalar.name, (scalar.get)(s));
     }
-    write_mean(&mut w, "ml", &s.miss_latency);
-    write_mean(&mut w, "cml", &s.comm_miss_latency);
-    w.arr(
-        "hist_bounds",
-        s.miss_latency_hist.bounds().iter().map(|&b| b as u128),
-    );
+    // Latency extremes, which the golden does not show.
+    for (m, min, max) in [
+        (&s.miss_latency, "miss_latency_min", "miss_latency_max"),
+        (
+            &s.comm_miss_latency,
+            "comm_miss_latency_min",
+            "comm_miss_latency_max",
+        ),
+    ] {
+        w.num(min, m.raw_min() as u128);
+        w.num(max, m.raw_max() as u128);
+    }
+    let hist = &s.miss_latency_hist;
+    w.arr("hist_bounds", hist.bounds().iter().map(|&b| b as u128));
     w.arr(
         "hist_counts",
-        s.miss_latency_hist
-            .bucket_counts()
-            .iter()
-            .map(|&c| c as u128),
+        hist.bucket_counts().iter().map(|&c| c as u128),
     );
-    w.num("noc_messages", s.noc.messages as u128);
-    w.num("noc_bytes_injected", s.noc.bytes_injected as u128);
-    w.num("noc_byte_hops", s.noc.byte_hops as u128);
-    w.num("noc_ctrl_byte_hops", s.noc.ctrl_byte_hops as u128);
-    w.num("noc_contention_cycles", s.noc.contention_cycles as u128);
-    w.num("noc_energy_bits", s.noc.energy.to_bits() as u128);
-    w.num("snoop_energy_bits", s.snoop_energy.to_bits() as u128);
-    write_sp(&mut w, s);
+    if let Some(sp) = &s.sp {
+        w.arr("sp", sp.counters().map(u128::from));
+    }
     w.finish()
 }
 
@@ -501,7 +360,7 @@ pub fn encode_record(rec: &RunRecord) -> String {
 ///
 /// Heavy optional payloads (communication matrix, epoch records, traces)
 /// are not spooled, so the reconstructed `RunStats` carries their empty
-/// defaults; every summary/golden/report field round-trips bit-exactly.
+/// defaults; every golden and report field round-trips bit-exactly.
 pub fn decode_record(payload: &str) -> Result<RunRecord, String> {
     let map = parse_object(payload)?;
     if get_str(&map, "kind")? != "run" {
@@ -516,25 +375,42 @@ pub fn decode_record(payload: &str) -> Result<RunRecord, String> {
         protocol: get_str(&map, "protocol")?,
         ..RunStats::default()
     };
-    for (key, _, set) in U64_FIELDS {
-        set(&mut stats, get_u64(&map, key)?);
+    for scalar in &SCALARS {
+        let value = get_num(&map, scalar.name)?;
+        (scalar.set)(&mut stats, value)
+            .map_err(|_| format!("field '{}' exceeds its type", scalar.name))?;
     }
-    stats.miss_latency = read_mean(&map, "ml")?;
-    stats.comm_miss_latency = read_mean(&map, "cml")?;
+    for (m, min, max) in [
+        (
+            &mut stats.miss_latency,
+            "miss_latency_min",
+            "miss_latency_max",
+        ),
+        (
+            &mut stats.comm_miss_latency,
+            "comm_miss_latency_min",
+            "comm_miss_latency_max",
+        ),
+    ] {
+        let (min, max) = (get_u64(&map, min)?, get_u64(&map, max)?);
+        *m = MeanAccumulator::from_parts(m.sum(), m.count(), min, max);
+    }
     let bounds = get_arr_u64(&map, "hist_bounds")?;
     let counts = get_arr_u64(&map, "hist_counts")?;
     if counts.len() != bounds.len() + 1 || !bounds.windows(2).all(|w| w[0] < w[1]) {
         return Err("malformed latency histogram".into());
     }
     stats.miss_latency_hist = Histogram::from_parts(&bounds, &counts);
-    stats.noc.messages = get_u64(&map, "noc_messages")?;
-    stats.noc.bytes_injected = get_u64(&map, "noc_bytes_injected")?;
-    stats.noc.byte_hops = get_u64(&map, "noc_byte_hops")?;
-    stats.noc.ctrl_byte_hops = get_u64(&map, "noc_ctrl_byte_hops")?;
-    stats.noc.contention_cycles = get_u64(&map, "noc_contention_cycles")?;
-    stats.noc.energy = f64::from_bits(get_u64(&map, "noc_energy_bits")?);
-    stats.snoop_energy = f64::from_bits(get_u64(&map, "snoop_energy_bits")?);
-    read_sp(&map, &mut stats)?;
+    if map.contains_key("sp") {
+        let values = get_arr_u64(&map, "sp")?;
+        let counters = stats.sp.insert(Default::default()).counters_mut();
+        if values.len() != counters.len() {
+            return Err(format!("field 'sp' needs {} counters", counters.len()));
+        }
+        for (counter, value) in counters.into_iter().zip(values) {
+            *counter = value;
+        }
+    }
     Ok(RunRecord {
         index: get_u64(&map, "index")? as usize,
         id: get_str(&map, "id")?,
@@ -635,6 +511,57 @@ mod tests {
         assert_eq!(encode_record(&back), payload);
     }
 
+    /// The value [`every_field_distinct`] gives table row `i`: nonzero,
+    /// distinct, and a distinct `f64` for the energy rows.
+    fn row_value(i: usize, name: &str) -> u128 {
+        if name.ends_with("_bits") {
+            (1000.25 + i as f64 * 3.5).to_bits().into()
+        } else {
+            1000 + 17 * i as u128
+        }
+    }
+
+    /// Every row of the statistics table, the fields the golden does not
+    /// show and SP's counters, each set to its own nonzero value.
+    fn every_field_distinct() -> RunRecord {
+        let mut rec = sample_record();
+        let s = &mut rec.stats;
+        for (i, scalar) in SCALARS.iter().enumerate() {
+            (scalar.set)(s, row_value(i, scalar.name)).unwrap();
+        }
+        for (m, min, max) in [
+            (&mut s.miss_latency, 3, 900),
+            (&mut s.comm_miss_latency, 5, 700),
+        ] {
+            *m = MeanAccumulator::from_parts(m.sum(), m.count(), min, max);
+        }
+        s.miss_latency_hist = Histogram::from_parts(&[16, 32, 64], &[1, 2, 3, 4]);
+        let sp = s.sp.insert(Default::default());
+        for (i, counter) in sp.counters_mut().into_iter().enumerate() {
+            *counter = 50 + i as u64;
+        }
+        rec
+    }
+
+    #[test]
+    fn every_field_round_trips() {
+        let rec = every_field_distinct();
+        // Each row holds its own value, so no row writes another's field.
+        for (i, scalar) in SCALARS.iter().enumerate() {
+            let value = (scalar.get)(&rec.stats);
+            assert_eq!(value, row_value(i, scalar.name), "{}", scalar.name);
+        }
+        let back = decode_record(&encode_record(&rec)).unwrap();
+        let spec = crate::RunMatrix::new()
+            .bench(spcp_workloads::suite::by_name("fft").unwrap())
+            .protocol("dir", spcp_system::ProtocolKind::Directory)
+            .expand()
+            .remove(0);
+        let snapshot = crate::golden::snapshot_run(&spec, &rec.stats);
+        assert_eq!(crate::golden::snapshot_run(&spec, &back.stats), snapshot);
+        assert_eq!(format!("{:?}", back.stats), format!("{:?}", rec.stats));
+    }
+
     #[test]
     fn sp_counters_round_trip() {
         let mut rec = sample_record();
@@ -659,7 +586,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_missing_fields() {
-        let err = decode_record(r#"{"kind":"run","v":1}"#).unwrap_err();
+        let err = decode_record(&format!(r#"{{"kind":"run","v":{RECORD_VERSION}}}"#)).unwrap_err();
         assert!(err.contains("missing field"), "{err}");
     }
 
@@ -669,7 +596,7 @@ mod tests {
         let payload = encode_record(&rec);
         let other = payload.replace(r#""kind":"run""#, r#""kind":"walk""#);
         assert!(decode_record(&other).is_err());
-        let other = payload.replace(r#""v":1"#, r#""v":999"#);
+        let other = payload.replace(&format!(r#""v":{RECORD_VERSION}"#), r#""v":999"#);
         assert!(decode_record(&other).unwrap_err().contains("version"));
     }
 

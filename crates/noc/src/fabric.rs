@@ -85,18 +85,6 @@ pub struct NocStats {
     pub contention_cycles: u64,
 }
 
-impl NocStats {
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &NocStats) {
-        self.messages += other.messages;
-        self.bytes_injected += other.bytes_injected;
-        self.byte_hops += other.byte_hops;
-        self.ctrl_byte_hops += other.ctrl_byte_hops;
-        self.energy += other.energy;
-        self.contention_cycles += other.contention_cycles;
-    }
-}
-
 /// The timed mesh network.
 ///
 /// `Fabric` routes each message along its deterministic X-Y path, reserving
@@ -1049,23 +1037,6 @@ mod tests {
         );
         f.reset();
         assert_eq!(*f.stats(), NocStats::default());
-    }
-
-    #[test]
-    fn stats_merge_adds_fields() {
-        let a = NocStats {
-            messages: 1,
-            bytes_injected: 8,
-            byte_hops: 16,
-            ctrl_byte_hops: 16,
-            energy: 5.0,
-            contention_cycles: 2,
-        };
-        let mut b = a;
-        b.merge(&a);
-        assert_eq!(b.messages, 2);
-        assert_eq!(b.byte_hops, 32);
-        assert!((b.energy - 10.0).abs() < 1e-12);
     }
 
     #[test]

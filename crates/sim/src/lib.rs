@@ -38,4 +38,4 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoreId, CoreSet};
 pub use ready::ReadyQueue;
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, MeanAccumulator};
+pub use stats::{Histogram, MeanAccumulator};

@@ -1,74 +1,5 @@
 //! Lightweight statistics accumulators used by every simulator component.
 
-use std::fmt;
-
-/// A saturating event counter.
-///
-/// # Examples
-///
-/// ```
-/// use spcp_sim::Counter;
-///
-/// let mut misses = Counter::new();
-/// misses.add(3);
-/// misses.incr();
-/// assert_eq!(misses.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current count.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-
-    /// Merges another counter into this one (saturating).
-    #[inline]
-    pub fn merge(&mut self, other: Counter) {
-        self.add(other.get());
-    }
-
-    /// This count as a fraction of `total`, or 0.0 when `total` is zero.
-    pub fn fraction_of(self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// An online mean/min/max accumulator over `u64` samples.
 ///
 /// # Examples
@@ -274,72 +205,11 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// Merges another histogram into this one.
-    ///
-    /// Merging is exact (integer counts) and commutative/associative, so
-    /// aggregates are independent of merge order — the property the
-    /// parallel sweep harness relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-    }
-
-    /// Fraction of samples in bucket `idx`, or 0.0 when empty.
-    pub fn fraction(&self, idx: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[idx] as f64 / self.total as f64
-        }
-    }
-}
-
-/// Formats `x` as a percentage with one decimal, e.g. `42.3%`.
-pub fn percent(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.fraction_of(40), 0.25);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn counter_fraction_of_zero_total() {
-        let mut c = Counter::new();
-        c.add(5);
-        assert_eq!(c.fraction_of(0), 0.0);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-    }
 
     #[test]
     fn default_accumulator_matches_new() {
@@ -397,7 +267,6 @@ mod tests {
         }
         assert_eq!(h.bucket_counts(), &[2, 2, 2, 2]);
         assert_eq!(h.total(), 8);
-        assert_eq!(h.fraction(0), 0.25);
         assert_eq!(h.bounds(), &[2, 4, 8]);
     }
 
@@ -405,47 +274,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_bad_bounds() {
         Histogram::with_bounds(&[5, 5]);
-    }
-
-    #[test]
-    fn counter_merge_adds() {
-        let mut a = Counter::new();
-        a.add(3);
-        let mut b = Counter::new();
-        b.add(4);
-        a.merge(b);
-        assert_eq!(a.get(), 7);
-    }
-
-    #[test]
-    fn histogram_merge_is_order_independent() {
-        let mut a = Histogram::with_bounds(&[2, 4]);
-        let mut b = Histogram::with_bounds(&[2, 4]);
-        for s in [0, 1, 3] {
-            a.record(s);
-        }
-        for s in [5, 3, 100] {
-            b.record(s);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total(), 6);
-        assert_eq!(ab.bucket_counts(), &[2, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn histogram_merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::with_bounds(&[2]);
-        a.merge(&Histogram::with_bounds(&[3]));
-    }
-
-    #[test]
-    fn percent_formatting() {
-        assert_eq!(percent(0.1234), "12.3%");
     }
 
     #[test]

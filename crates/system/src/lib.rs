@@ -42,6 +42,6 @@ pub mod runtime;
 pub use config::{CoherenceVariant, MachineConfig, PredictorKind, ProtocolKind, RunConfig};
 pub use filter::RegionTracker;
 pub use machine::{invariants_compiled, CmpSystem, InvariantViolation};
-pub use metrics::{CommMatrix, EpochRecord, RunStats};
+pub use metrics::{CommMatrix, EpochRecord, RunStats, Scalar, SCALARS};
 pub use oracle::OracleBook;
 pub use predictor_slot::PredictorSlot;

@@ -241,7 +241,7 @@ pub struct CmpSystem {
 /// A protocol invariant violation caught by the runtime audit layer.
 ///
 /// Produced by [`CmpSystem::run_workload_checked`] (requires the audits to
-/// be compiled in — see [`invariants_compiled`](crate::invariants_compiled)).
+/// be compiled in — see [`invariants_compiled`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
     /// Simulated cycle at which the violation was detected.

@@ -5,6 +5,7 @@ use spcp_noc::NocStats;
 use spcp_sim::{CoreSet, Histogram, MeanAccumulator};
 use spcp_sync::EpochId;
 use std::collections::HashMap;
+use std::num::TryFromIntError;
 
 /// The recorded communication of one dynamic epoch instance on one core —
 /// the raw material for Figures 2, 4, 5, 6 and the oracle predictor.
@@ -30,19 +31,9 @@ impl EpochRecord {
         self.volumes.iter().map(|&v| v as u64).sum()
     }
 
-    /// The hot communication set at `threshold` (§3.3).
+    /// The hot communication set at `threshold` ([`spcp_core::hot_set`]).
     pub fn hot_set(&self, threshold: f64) -> CoreSet {
-        let total = self.total_volume();
-        if total == 0 {
-            return CoreSet::empty();
-        }
-        let cutoff = ((total as f64 * threshold).ceil() as u64).max(1);
-        self.volumes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v as u64 >= cutoff)
-            .map(|(i, _)| spcp_sim::CoreId::new(i))
-            .collect()
+        spcp_core::hot_set(&self.volumes, self.total_volume(), threshold, None)
     }
 }
 
@@ -328,6 +319,118 @@ impl RunStats {
     }
 }
 
+/// One scalar statistic of a run: its name in golden snapshots and spool
+/// records, how to read it and how to write it back. Values travel as
+/// `u128`; `f64` energies travel as their IEEE-754 bit patterns, so every
+/// row round-trips bit-exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct Scalar {
+    /// The statistic's name.
+    pub name: &'static str,
+    /// Reads the value.
+    pub get: fn(&RunStats) -> u128,
+    /// Writes the value back; fails when it does not fit the field.
+    pub set: fn(&mut RunStats, u128) -> Result<(), TryFromIntError>,
+}
+
+/// A `u64` counter at a `RunStats` field path.
+macro_rules! counter {
+    ($name:literal, $($field:ident).+) => {
+        Scalar {
+            name: $name,
+            get: |s| s.$($field).+ as u128,
+            set: |s, v| {
+                s.$($field).+ = u64::try_from(v)?;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// An `f64` at a `RunStats` field path, as its bit pattern.
+macro_rules! bits {
+    ($name:literal, $($field:ident).+) => {
+        Scalar {
+            name: $name,
+            get: |s| s.$($field).+.to_bits() as u128,
+            set: |s, v| {
+                s.$($field).+ = f64::from_bits(u64::try_from(v)?);
+                Ok(())
+            },
+        }
+    };
+}
+
+/// The sum or the sample count of a `MeanAccumulator` field.
+macro_rules! moment {
+    ($name:literal, $field:ident . sum) => {
+        Scalar {
+            name: $name,
+            get: |s| s.$field.sum(),
+            set: |s, v| {
+                let m = s.$field;
+                s.$field = MeanAccumulator::from_parts(v, m.count(), m.raw_min(), m.raw_max());
+                Ok(())
+            },
+        }
+    };
+    ($name:literal, $field:ident . count) => {
+        Scalar {
+            name: $name,
+            get: |s| s.$field.count() as u128,
+            set: |s, v| {
+                let m = s.$field;
+                let count = u64::try_from(v)?;
+                s.$field = MeanAccumulator::from_parts(m.sum(), count, m.raw_min(), m.raw_max());
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every scalar statistic a run reports, in golden-snapshot order: the one
+/// place that decides which statistics a golden snapshot and a spool
+/// record carry, under which names and in which order.
+///
+/// Adding a statistic is one row here (plus a bump of the golden header's
+/// version, since every snapshot gains a line).
+pub static SCALARS: [Scalar; 34] = [
+    counter!("total_ops", total_ops),
+    counter!("loads", loads),
+    counter!("stores", stores),
+    counter!("l1_hits", l1_hits),
+    counter!("l2_hits", l2_hits),
+    counter!("l2_misses", l2_misses),
+    counter!("upgrades", upgrades),
+    counter!("comm_misses", comm_misses),
+    counter!("noncomm_misses", noncomm_misses),
+    counter!("exec_cycles", exec_cycles),
+    moment!("miss_latency_sum", miss_latency.sum),
+    moment!("miss_latency_count", miss_latency.count),
+    moment!("comm_miss_latency_sum", comm_miss_latency.sum),
+    moment!("comm_miss_latency_count", comm_miss_latency.count),
+    counter!("noc_messages", noc.messages),
+    counter!("noc_bytes_injected", noc.bytes_injected),
+    counter!("noc_byte_hops", noc.byte_hops),
+    counter!("noc_ctrl_byte_hops", noc.ctrl_byte_hops),
+    counter!("noc_contention_cycles", noc.contention_cycles),
+    bits!("noc_energy_bits", noc.energy),
+    counter!("snoop_probes", snoop_probes),
+    bits!("snoop_energy_bits", snoop_energy),
+    counter!("predictions", predictions),
+    counter!("pred_sufficient", pred_sufficient),
+    counter!("pred_sufficient_comm", pred_sufficient_comm),
+    counter!("pred_insufficient", pred_insufficient),
+    counter!("indirections", indirections),
+    counter!("predicted_set_sum", predicted_set_sum),
+    counter!("pred_overhead_comm", pred_overhead_comm),
+    counter!("pred_overhead_noncomm", pred_overhead_noncomm),
+    counter!("actual_set_sum", actual_set_sum),
+    counter!("predictor_storage_bits", predictor_storage_bits),
+    counter!("filtered_predictions", filtered_predictions),
+    counter!("migrations", migrations),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +467,33 @@ mod tests {
     fn empty_record_has_empty_hot_set() {
         let r = record(vec![0; 16]);
         assert!(r.hot_set(0.10).is_empty());
+    }
+
+    #[test]
+    fn every_scalar_reads_back_what_it_wrote() {
+        let mut s = RunStats::default();
+        for (i, scalar) in SCALARS.iter().enumerate() {
+            (scalar.set)(&mut s, 1 + i as u128).unwrap();
+        }
+        for (i, scalar) in SCALARS.iter().enumerate() {
+            assert_eq!((scalar.get)(&s), 1 + i as u128, "{}", scalar.name);
+        }
+        let names: std::collections::HashSet<&str> = SCALARS.iter().map(|r| r.name).collect();
+        assert_eq!(names.len(), SCALARS.len(), "names are unique");
+    }
+
+    #[test]
+    fn only_the_latency_sums_hold_more_than_u64() {
+        let wide = u64::MAX as u128 + 1;
+        for scalar in &SCALARS {
+            let fits = (scalar.set)(&mut RunStats::default(), wide).is_ok();
+            assert_eq!(
+                fits,
+                scalar.name.ends_with("latency_sum"),
+                "{}",
+                scalar.name
+            );
+        }
     }
 
     #[test]

@@ -27,19 +27,9 @@ impl EpochSummary {
         self.volumes.iter().map(|&v| v as u64).sum()
     }
 
-    /// The hot communication set at `threshold`.
+    /// The hot communication set at `threshold` ([`spcp_core::hot_set`]).
     pub fn hot_set(&self, threshold: f64) -> CoreSet {
-        let total = self.total_volume();
-        if total == 0 {
-            return CoreSet::empty();
-        }
-        let cutoff = ((total as f64 * threshold).ceil() as u64).max(1);
-        self.volumes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v as u64 >= cutoff)
-            .map(|(i, _)| CoreId::new(i))
-            .collect()
+        spcp_core::hot_set(&self.volumes, self.total_volume(), threshold, None)
     }
 }
 

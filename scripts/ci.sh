@@ -28,6 +28,11 @@ else
     echo "clippy not installed; skipping"
 fi
 
+step "rustdoc (workspace libraries, -D warnings): no broken or private intra-doc links"
+# `--lib` keeps the `spcp` binary's docs from colliding with the `spcp`
+# library's output directory.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 step "tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline

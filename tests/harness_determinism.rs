@@ -1,17 +1,16 @@
 //! Parallel-determinism guarantees of the sweep engine: a ≥24-run matrix
-//! produces bit-identical per-run stats and merged summaries at `--jobs 1`,
-//! `--jobs 4` and `--jobs 8`, and summary merging is independent of worker
-//! scheduling order. The same guarantees are pinned for the streamed
-//! (spooled-to-disk) path: streaming at any job count reproduces the
-//! in-memory sweep bit for bit, and the shard merge order never changes
+//! produces bit-identical per-run stats and reports at `--jobs 1`,
+//! `--jobs 4` and `--jobs 8`. The same guarantees are pinned for the
+//! streamed (spooled-to-disk) path: streaming at any job count reproduces
+//! the in-memory sweep bit for bit, and the shard merge order never changes
 //! the report.
 
 use std::path::PathBuf;
 
 use spcp::harness::spool::{self, SpoolMerge};
-use spcp::harness::{golden, RunMatrix, StreamConfig, SweepEngine, SweepResult, SweepSummary};
+use spcp::harness::{golden, Replay, RunMatrix, StreamConfig, SweepEngine, SweepResult};
 use spcp::sim::DetRng;
-use spcp::system::{PredictorKind, ProtocolKind};
+use spcp::system::{PredictorKind, ProtocolKind, RunStats};
 use spcp::workloads::suite;
 
 /// 3 benchmarks × 4 protocols × 2 seeds = 24 runs.
@@ -27,38 +26,34 @@ fn matrix_24() -> RunMatrix {
         .seeds(&[7, 11])
 }
 
+/// One run's statistics as `Debug` text, without the communication matrix,
+/// which spools leave out: every field a report can read, the latency
+/// extremes, the histogram and SP's counters included.
+fn run_debug(id: &str, stats: &RunStats) -> String {
+    let spooled = RunStats {
+        comm_matrix: Default::default(),
+        ..stats.clone()
+    };
+    format!("{id}: {spooled:?}\n")
+}
+
+/// Every run's [`run_debug`], in canonical order.
+fn runs_text(sweep: &dyn Replay) -> String {
+    let mut out = String::new();
+    sweep
+        .replay(&mut |spec, stats, _| out.push_str(&run_debug(&spec.id(), stats)))
+        .expect("replay");
+    out
+}
+
+/// The golden render of a sweep followed by its [`runs_text`].
+fn report_text(sweep: &dyn Replay) -> String {
+    golden::render_sweep(sweep).expect("replay") + &runs_text(sweep)
+}
+
 fn assert_bit_identical(a: &SweepResult, b: &SweepResult) {
     assert_eq!(a.runs.len(), b.runs.len());
-    for (x, y) in a.runs.iter().zip(&b.runs) {
-        let id = x.spec.id();
-        assert_eq!(x.spec.id(), y.spec.id());
-        assert_eq!(
-            x.stats.exec_cycles, y.stats.exec_cycles,
-            "{id}: exec_cycles"
-        );
-        assert_eq!(
-            x.stats.noc.byte_hops, y.stats.noc.byte_hops,
-            "{id}: byte_hops"
-        );
-        assert_eq!(
-            x.stats.noc.ctrl_byte_hops, y.stats.noc.ctrl_byte_hops,
-            "{id}"
-        );
-        assert_eq!(
-            x.stats.predictions, y.stats.predictions,
-            "{id}: predictions"
-        );
-        assert_eq!(x.stats.pred_sufficient, y.stats.pred_sufficient, "{id}");
-        assert_eq!(x.stats.pred_insufficient, y.stats.pred_insufficient, "{id}");
-        assert_eq!(x.stats.indirections, y.stats.indirections, "{id}");
-        assert_eq!(x.stats.total_ops, y.stats.total_ops, "{id}: total_ops");
-        assert_eq!(x.stats.l2_misses, y.stats.l2_misses, "{id}: l2_misses");
-        assert_eq!(
-            x.stats.comm_misses, y.stats.comm_misses,
-            "{id}: comm_misses"
-        );
-    }
-    assert_eq!(a.summary(), b.summary());
+    assert_eq!(report_text(a), report_text(b));
 }
 
 #[test]
@@ -131,8 +126,8 @@ fn streamed_jobs_1_4_8_bit_identical_to_in_memory() {
         let render = streamed.render_golden().expect("replay spool");
         assert_eq!(render, reference_render, "jobs={jobs}");
         assert_eq!(
-            streamed.summary().expect("replay spool"),
-            reference.summary(),
+            report_text(&streamed),
+            report_text(&reference),
             "jobs={jobs}"
         );
 
@@ -150,7 +145,7 @@ fn shard_merge_order_never_changes_report() {
     let streamed = SweepEngine::new(4)
         .run_streamed(&matrix, &StreamConfig::new(&spool.0))
         .expect("streamed sweep");
-    let reference = streamed.summary().expect("replay spool");
+    let reference = runs_text(&streamed);
     let fingerprint = streamed.fingerprint();
 
     let shards = spool::shard_files(&spool.0).expect("list shards");
@@ -161,55 +156,32 @@ fn shard_merge_order_never_changes_report() {
         let mut order = shards.clone();
         rng.shuffle(&mut order);
         let mut merge = SpoolMerge::open(&order, fingerprint).expect("open shards");
-        let mut summary = SweepSummary::new();
+        let mut runs = String::new();
         let mut last_index = None;
         while let Some(rec) = merge.next().expect("merge") {
             // Records always drain in canonical matrix order, regardless
             // of the order the shard files were listed in.
             assert!(last_index < Some(rec.index), "trial {trial}");
             last_index = Some(rec.index);
-            summary.observe(&rec.stats);
+            runs.push_str(&run_debug(&rec.id, &rec.stats));
         }
-        assert_eq!(summary, reference, "trial {trial}");
+        assert_eq!(runs, reference, "trial {trial}");
     }
 }
 
 #[test]
-fn summary_merge_is_independent_of_worker_order() {
-    // Partition the matrix results as if different workers had finished in
-    // arbitrary orders, and check every merge order gives the same summary.
+fn sweep_reports_every_run_and_histograms_every_miss() {
     let result = SweepEngine::new(2).run(&matrix_24());
-    let reference = result.summary();
-
-    let mut rng = DetRng::seeded(42);
-    for trial in 0..10 {
-        // Random partition into up to 8 "worker" summaries.
-        let mut parts: Vec<SweepSummary> = (0..8).map(|_| SweepSummary::new()).collect();
-        for run in &result.runs {
-            parts[rng.index(8)].observe(&run.stats);
-        }
-        // Merge in a random order.
-        rng.shuffle(&mut parts);
-        let mut merged = SweepSummary::new();
-        for p in &parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged, reference, "trial {trial}");
+    assert_eq!(result.runs.len(), 24);
+    let predictions: u64 = result.runs.iter().map(|r| r.stats.predictions).sum();
+    assert!(predictions > 0, "sp/uni runs must predict");
+    for run in &result.runs {
+        let id = run.spec.id();
+        assert!(run.stats.noc.byte_hops > 0, "{id}");
+        assert_eq!(
+            run.stats.miss_latency.count(),
+            run.stats.miss_latency_hist.total(),
+            "{id}: every miss latency sample is histogrammed"
+        );
     }
-}
-
-#[test]
-fn summary_reflects_run_count_and_ops() {
-    let result = SweepEngine::new(2).run(&matrix_24());
-    let summary = result.summary();
-    assert_eq!(summary.runs, 24);
-    let ops: u64 = result.runs.iter().map(|r| r.stats.total_ops).sum();
-    assert_eq!(summary.total_ops, ops);
-    assert!(summary.accuracy() > 0.0, "sp/uni runs must predict");
-    assert!(summary.noc_byte_hops > 0);
-    assert_eq!(
-        summary.miss_latency.count(),
-        summary.miss_latency_hist.total(),
-        "every miss latency sample is histogrammed"
-    );
 }

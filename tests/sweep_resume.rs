@@ -6,8 +6,9 @@
 
 use std::path::PathBuf;
 
+use spcp::harness::record::{self, RECORD_VERSION};
 use spcp::harness::spool::{self, SpoolError};
-use spcp::harness::{RunMatrix, StreamConfig, SweepEngine};
+use spcp::harness::{frame, Replay, RunMatrix, StreamConfig, SweepEngine};
 use spcp::system::{PredictorKind, ProtocolKind};
 use spcp::workloads::suite;
 
@@ -38,6 +39,17 @@ impl Drop for Spool {
     }
 }
 
+/// Every run's statistics as `Debug` text, in canonical order: the fields
+/// the golden render does not show (latency extremes, the histogram, SP's
+/// counters) included.
+fn runs_debug(sweep: &dyn Replay) -> String {
+    let mut out = String::new();
+    sweep
+        .replay(&mut |spec, stats, _| out.push_str(&format!("{}: {stats:?}\n", spec.id())))
+        .expect("replay");
+    out
+}
+
 /// Counts the complete records currently recoverable from the spool.
 fn recoverable(dir: &std::path::Path, fingerprint: u64) -> usize {
     let shards = spool::shard_files(dir).expect("list shards");
@@ -59,7 +71,7 @@ fn kill_then_resume_is_bit_identical_to_uninterrupted() {
         .run_streamed(&matrix, &StreamConfig::new(&clean.0))
         .expect("reference sweep");
     let reference_render = uninterrupted.render_golden().expect("replay");
-    let reference_summary = uninterrupted.summary().expect("replay");
+    let reference_runs = runs_debug(&uninterrupted);
 
     // The "crashed" sweep: run to completion, then damage the spool the
     // way a mid-write kill would — one shard loses bytes inside its last
@@ -98,7 +110,7 @@ fn kill_then_resume_is_bit_identical_to_uninterrupted() {
 
     // ...and the final report is byte-for-byte the uninterrupted one's.
     assert_eq!(resumed.render_golden().expect("replay"), reference_render);
-    assert_eq!(resumed.summary().expect("replay"), reference_summary);
+    assert_eq!(runs_debug(&resumed), reference_runs);
 }
 
 #[test]
@@ -152,4 +164,34 @@ fn resume_rejects_a_toggled_snoop_filter() {
     let err =
         SweepEngine::new(1).run_streamed(&filtered, &StreamConfig::new(&spool.0).resume(true));
     assert!(matches!(err, Err(SpoolError::MatrixMismatch { .. })));
+}
+
+#[test]
+fn resume_refuses_a_shard_of_another_spool_version() {
+    let spool = Spool::new("version");
+    let matrix = RunMatrix::new()
+        .bench(suite::by_name("fft").unwrap())
+        .protocol("dir", ProtocolKind::Directory);
+    SweepEngine::new(1)
+        .run_streamed(&matrix, &StreamConfig::new(&spool.0))
+        .expect("first sweep");
+
+    // Re-stamp the shard's header frame as an older format's.
+    let shards = spool::shard_files(&spool.0).expect("list shards");
+    let text = std::fs::read_to_string(&shards[0]).expect("read shard");
+    let (first, rest) = text.split_once('\n').expect("header line");
+    let payload = frame::decode_line(first.as_bytes()).expect("header frame");
+    let mut header = record::decode_header(payload).expect("header");
+    header.version = RECORD_VERSION - 1;
+    let restamped = frame::encode(&record::encode_header(&header));
+    std::fs::write(&shards[0], format!("{restamped}{rest}")).expect("rewrite shard");
+
+    let err = SweepEngine::new(1).run_streamed(&matrix, &StreamConfig::new(&spool.0).resume(true));
+    match err {
+        Err(SpoolError::Corrupt { detail, .. }) => assert_eq!(
+            detail,
+            format!("unsupported spool version {}", RECORD_VERSION - 1)
+        ),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }
