@@ -250,7 +250,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         "{:<30} {:>10} {:>9} {:>12} {:>9}",
         "run", "exec", "misslat", "byte-hops", "accuracy"
     );
-    let (mut runs, mut ops, mut predictions, mut sufficient) = (0u64, 0u64, 0u64, 0u64);
+    let (mut runs, mut ops, mut comm_misses, mut sufficient) = (0u64, 0u64, 0u64, 0u64);
     let mut latency = MeanAccumulator::new();
     sweep
         .replay(&mut |spec, s, _| {
@@ -265,12 +265,16 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             runs += 1;
             ops += s.total_ops;
             latency.merge(&s.miss_latency);
-            predictions += s.predictions;
-            sufficient += s.pred_sufficient;
+            // The column's `RunStats::accuracy`, pooled over the runs
+            // that predict: a non-predicting run's communicating misses
+            // would only dilute it.
+            if s.predictions > 0 {
+                comm_misses += s.comm_misses;
+                sufficient += s.pred_sufficient_comm;
+            }
         })
         .map_err(|e| e.to_string())?;
-    // Pooled over every prediction of the sweep, not a mean of the rows.
-    let accuracy = sufficient as f64 / predictions.max(1) as f64;
+    let accuracy = sufficient as f64 / comm_misses.max(1) as f64;
     println!(
         "---\n{runs} runs | {ops} ops | mean miss latency {:.1} | accuracy {:.1}%",
         latency.mean(),

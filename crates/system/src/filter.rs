@@ -8,8 +8,7 @@
 //! touches skips the predicted requests entirely.
 
 use spcp_mem::BlockAddr;
-use spcp_sim::{CoreId, CoreSet};
-use std::collections::HashMap;
+use spcp_sim::{CoreId, CoreSet, FlatMap};
 
 /// Blocks per tracked region (64 blocks × 64 B = 4 KB regions).
 pub const REGION_BLOCKS: u64 = 64;
@@ -17,6 +16,10 @@ pub const REGION_BLOCKS: u64 = 64;
 /// Tracks, for every region with at least one cached block, the set of
 /// cores holding blocks of it (with per-core block counts so departures are
 /// exact).
+///
+/// Both tables are [`FlatMap`]s, which stop allocating once they reach the
+/// run's high-water mark; nothing iterates them, so their slot order never
+/// reaches a result.
 ///
 /// # Examples
 ///
@@ -33,11 +36,15 @@ pub const REGION_BLOCKS: u64 = 64;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RegionTracker {
-    /// `(region, core) -> cached block count`.
-    counts: HashMap<(u64, usize), u32>,
+    /// `(region, core) -> cached block count`, keyed by
+    /// [`RegionTracker::count_key`].
+    counts: FlatMap<u32>,
     /// `region -> cores with at least one cached block`.
-    sharers: HashMap<u64, CoreSet>,
+    sharers: FlatMap<CoreSet>,
 }
+
+/// Bits of a [`RegionTracker::count_key`] that hold the core index.
+const CORE_BITS: u32 = CoreSet::MAX_CORES.trailing_zeros();
 
 impl RegionTracker {
     /// Creates an empty tracker.
@@ -49,13 +56,24 @@ impl RegionTracker {
         block.index() / REGION_BLOCKS
     }
 
+    /// One `u64` key for a `(region, core)` pair: the region above the
+    /// core index. A region number is a block index over 64, so the shift
+    /// cannot overflow.
+    fn count_key(region: u64, core: CoreId) -> u64 {
+        (region << CORE_BITS) | core.index() as u64
+    }
+
     /// Records that `core` now caches `block`.
     pub fn on_fill(&mut self, core: CoreId, block: BlockAddr) {
         let region = Self::region_of(block);
-        let count = self.counts.entry((region, core.index())).or_insert(0);
+        let count = self
+            .counts
+            .get_or_insert_with(Self::count_key(region, core), || 0);
         *count += 1;
         if *count == 1 {
-            self.sharers.entry(region).or_default().insert(core);
+            self.sharers
+                .get_or_insert_with(region, CoreSet::empty)
+                .insert(core);
         }
     }
 
@@ -65,14 +83,15 @@ impl RegionTracker {
     /// tracker never saw filled).
     pub fn on_drop(&mut self, core: CoreId, block: BlockAddr) {
         let region = Self::region_of(block);
-        if let Some(count) = self.counts.get_mut(&(region, core.index())) {
+        let key = Self::count_key(region, core);
+        if let Some(count) = self.counts.get_mut(key) {
             *count -= 1;
             if *count == 0 {
-                self.counts.remove(&(region, core.index()));
-                if let Some(s) = self.sharers.get_mut(&region) {
+                self.counts.remove(key);
+                if let Some(s) = self.sharers.get_mut(region) {
                     s.remove(core);
                     if s.is_empty() {
-                        self.sharers.remove(&region);
+                        self.sharers.remove(region);
                     }
                 }
             }
@@ -84,7 +103,7 @@ impl RegionTracker {
     /// communicating miss, so prediction is pure waste.
     pub fn others_share_region(&self, requester: CoreId, block: BlockAddr) -> bool {
         let region = Self::region_of(block);
-        match self.sharers.get(&region) {
+        match self.sharers.get(region) {
             Some(s) => {
                 let mut others = *s;
                 others.remove(requester);

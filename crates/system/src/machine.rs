@@ -554,8 +554,7 @@ impl CmpSystem {
 
     fn run(&mut self, workload: &Workload) {
         let n = workload.num_cores();
-        let streams = workload.threads();
-        let mut pc: Vec<usize> = vec![0; n];
+        let mut streams = workload.cursors();
         let mut status: Vec<ThreadStatus> = vec![ThreadStatus::Runnable; n];
         let mut ready = ReadyQueue::new(n);
         for t in 0..n {
@@ -570,16 +569,15 @@ impl CmpSystem {
                 return;
             }
             debug_assert_eq!(status[th], ThreadStatus::Runnable);
-            let Some(op) = streams[th].get(pc[th]) else {
+            let Some(op) = streams[th].next() else {
                 status[th] = ThreadStatus::Done;
                 self.stats.exec_cycles = self.stats.exec_cycles.max(t_now.as_u64());
                 continue;
             };
-            pc[th] += 1;
             self.stats.total_ops += 1;
             let core = self.core_of(th);
 
-            match *op {
+            match op {
                 Op::Compute(cycles) => {
                     ready.push(t_now + cycles as u64 + 1, th);
                 }

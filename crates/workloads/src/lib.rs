@@ -21,6 +21,14 @@
 //! them, and all communication (and thus everything a predictor sees) emerges
 //! from the coherence protocol — not from labels in the generator.
 //!
+//! A [`Workload`] describes a run rather than holding it:
+//! [`BenchmarkSpec::generate`] keeps the spec, the core count and the seed,
+//! and each core's [`OpCursor`] expands the ops one epoch instance at a
+//! time into a buffer it reuses. A run's memory for its inputs is a few
+//! hundred ops per core, whatever the program's length.
+//! [`Workload::threads`] still expands every stream whole, for tests and
+//! tools that want them side by side.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,8 +36,11 @@
 //!
 //! let spec = suite::bodytrack();
 //! let w = spec.generate(16, 42);
-//! assert_eq!(w.threads().len(), 16);
-//! assert!(w.threads()[0].len() > 1000);
+//! let mut cursors = w.cursors();
+//! assert_eq!(cursors.len(), 16);
+//! // Every core's stream opens with the first epoch's barrier.
+//! assert!(cursors[0].next().is_some());
+//! assert!(w.total_ops() > 16 * 1000);
 //! ```
 
 #![warn(missing_docs)]
@@ -42,7 +53,7 @@ pub mod spec;
 pub mod suite;
 pub mod textspec;
 
-pub use gen::Workload;
+pub use gen::{OpCursor, Workload};
 pub use op::Op;
 pub use pattern::SharingPattern;
 pub use spec::{BenchmarkSpec, CsSpec, EpochSpec, Phase};

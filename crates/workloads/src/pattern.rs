@@ -53,9 +53,10 @@ pub enum SharingPattern {
 }
 
 impl SharingPattern {
-    /// The producer cores that `consumer` reads from during dynamic
-    /// instance `instance`, for an `n`-core machine.
+    /// Writes into `out` the producer cores that `consumer` reads from
+    /// during dynamic instance `instance`, for an `n`-core machine.
     ///
+    /// `out` is cleared first, so one buffer serves every instance.
     /// `rng` supplies the non-determinism of [`SharingPattern::Random`];
     /// deterministic patterns ignore it.
     pub fn producers(
@@ -64,37 +65,39 @@ impl SharingPattern {
         instance: u64,
         n: usize,
         rng: &mut DetRng,
-    ) -> Vec<CoreId> {
+        out: &mut Vec<CoreId>,
+    ) {
         let c = consumer.index();
         let wrap = |o: usize| CoreId::new((c + o) % n);
+        out.clear();
         match *self {
-            SharingPattern::Stable { offset } => vec![wrap(offset.max(1))],
+            SharingPattern::Stable { offset } => out.push(wrap(offset.max(1))),
             SharingPattern::StableSwitch {
                 first,
                 second,
                 switch_at,
             } => {
                 let o = if instance < switch_at { first } else { second };
-                vec![wrap(o.max(1))]
+                out.push(wrap(o.max(1)));
             }
             SharingPattern::Repetitive { stride, period } => {
                 let k = (instance % period.max(1) as u64) as usize;
-                vec![wrap(1 + k * stride.max(1))]
+                out.push(wrap(1 + k * stride.max(1)));
             }
             SharingPattern::Neighbor => {
-                vec![CoreId::new((c + 1) % n), CoreId::new((c + n - 1) % n)]
+                out.extend([CoreId::new((c + 1) % n), CoreId::new((c + n - 1) % n)]);
             }
             SharingPattern::Random => {
                 let mut p = rng.index(n);
                 if p == c {
                     p = (p + 1) % n;
                 }
-                vec![CoreId::new(p)]
+                out.push(CoreId::new(p));
             }
             SharingPattern::WidelyShared { producers } => {
-                (0..producers.min(n - 1)).map(|i| wrap(1 + i)).collect()
+                out.extend((0..producers.min(n - 1)).map(|i| wrap(1 + i)));
             }
-            SharingPattern::PrivateOnly => Vec::new(),
+            SharingPattern::PrivateOnly => {}
             SharingPattern::Mixed { offset } => {
                 let stable = wrap(offset.max(1));
                 let mut p = rng.index(n);
@@ -104,7 +107,7 @@ impl SharingPattern {
                 if p == c || p == stable.index() {
                     p = (p + 1) % n;
                 }
-                vec![stable, CoreId::new(p)]
+                out.extend([stable, CoreId::new(p)]);
             }
         }
     }
@@ -124,12 +127,25 @@ mod tests {
         DetRng::seeded(1)
     }
 
+    /// `p.producers` into a fresh buffer.
+    fn producers(
+        p: SharingPattern,
+        consumer: usize,
+        instance: u64,
+        n: usize,
+        r: &mut DetRng,
+    ) -> Vec<CoreId> {
+        let mut out = vec![CoreId::new(63)];
+        p.producers(CoreId::new(consumer), instance, n, r, &mut out);
+        out
+    }
+
     #[test]
     fn stable_is_constant_across_instances() {
         let p = SharingPattern::Stable { offset: 3 };
         let mut r = rng();
-        let a = p.producers(CoreId::new(2), 0, 16, &mut r);
-        let b = p.producers(CoreId::new(2), 17, 16, &mut r);
+        let a = producers(p, 2, 0, 16, &mut r);
+        let b = producers(p, 2, 17, 16, &mut r);
         assert_eq!(a, b);
         assert_eq!(a, vec![CoreId::new(5)]);
     }
@@ -138,7 +154,7 @@ mod tests {
     fn stable_never_selects_self() {
         let p = SharingPattern::Stable { offset: 0 };
         let mut r = rng();
-        let a = p.producers(CoreId::new(4), 0, 16, &mut r);
+        let a = producers(p, 4, 0, 16, &mut r);
         assert_ne!(a[0], CoreId::new(4), "offset 0 must be promoted to 1");
     }
 
@@ -150,8 +166,8 @@ mod tests {
             switch_at: 3,
         };
         let mut r = rng();
-        let before = p.producers(CoreId::new(0), 2, 16, &mut r);
-        let after = p.producers(CoreId::new(0), 3, 16, &mut r);
+        let before = producers(p, 0, 2, 16, &mut r);
+        let after = producers(p, 0, 3, 16, &mut r);
         assert_eq!(before, vec![CoreId::new(1)]);
         assert_eq!(after, vec![CoreId::new(4)]);
     }
@@ -164,7 +180,7 @@ mod tests {
         };
         let mut r = rng();
         let seq: Vec<usize> = (0..6)
-            .map(|k| p.producers(CoreId::new(0), k, 16, &mut r)[0].index())
+            .map(|k| producers(p, 0, k, 16, &mut r)[0].index())
             .collect();
         assert_eq!(seq, vec![1, 3, 5, 1, 3, 5]);
     }
@@ -173,7 +189,7 @@ mod tests {
     fn neighbor_returns_both_sides_with_wraparound() {
         let p = SharingPattern::Neighbor;
         let mut r = rng();
-        let v = p.producers(CoreId::new(0), 0, 16, &mut r);
+        let v = producers(p, 0, 0, 16, &mut r);
         assert_eq!(v, vec![CoreId::new(1), CoreId::new(15)]);
     }
 
@@ -183,7 +199,7 @@ mod tests {
         let mut r = rng();
         let mut distinct = std::collections::HashSet::new();
         for k in 0..64 {
-            let v = p.producers(CoreId::new(3), k, 16, &mut r);
+            let v = producers(p, 3, k, 16, &mut r);
             assert_eq!(v.len(), 1);
             assert_ne!(v[0], CoreId::new(3));
             distinct.insert(v[0].index());
@@ -195,7 +211,7 @@ mod tests {
     fn widely_shared_caps_at_n_minus_one() {
         let p = SharingPattern::WidelyShared { producers: 100 };
         let mut r = rng();
-        let v = p.producers(CoreId::new(0), 0, 16, &mut r);
+        let v = producers(p, 0, 0, 16, &mut r);
         assert_eq!(v.len(), 15);
         assert!(!v.contains(&CoreId::new(0)));
     }
@@ -204,7 +220,7 @@ mod tests {
     fn private_only_has_no_producers() {
         let p = SharingPattern::PrivateOnly;
         let mut r = rng();
-        assert!(p.producers(CoreId::new(0), 0, 16, &mut r).is_empty());
+        assert!(producers(p, 0, 0, 16, &mut r).is_empty());
     }
 
     #[test]
@@ -220,7 +236,7 @@ mod tests {
         let mut r = rng();
         let mut randoms = std::collections::HashSet::new();
         for k in 0..32 {
-            let v = p.producers(CoreId::new(0), k, 16, &mut r);
+            let v = producers(p, 0, k, 16, &mut r);
             assert_eq!(v.len(), 2);
             assert_eq!(v[0], CoreId::new(4), "first member is the stable producer");
             assert_ne!(v[1], CoreId::new(0));

@@ -58,6 +58,9 @@ cargo test -q --release --offline --test soa_equivalence
 step "machine reuse lockstep, optimized: reused machines match fresh ones"
 cargo test --release --offline --test machine_reuse
 
+step "op source lockstep, optimized: streamed cursors match the materializing reference"
+cargo test --release --offline --test op_source_equivalence
+
 step "trace codec and race analyzer against their reference ports, optimized"
 cargo test --release --offline --test trace_equivalence
 

@@ -15,6 +15,11 @@
 //! large block: the multi-megabyte cache lanes and the directory table
 //! come from the spare, not from the allocator.
 //!
+//! Generation is pinned too: `BenchmarkSpec::generate` allocates the same
+//! count and the same largest block at 1x and 4x phase iterations, since a
+//! workload describes its run and its cursors stream the ops inside
+//! `run_workload` (where the bound above already counts them).
+//!
 //! The trace pipeline is pinned the same way: `write_trace` allocates
 //! the same at 1× and 4× the events, and `analyze_races` allocates the
 //! same on a 1× and a 4× miss trace over one block set — its state grows
@@ -158,6 +163,27 @@ fn steady_state_access_pipeline_does_not_allocate() {
             "{protocol:?}: steady-state pipeline allocates: {extra_allocs} extra \
              allocations for {extra_ops} extra accesses"
         );
+    }
+}
+
+#[test]
+fn generation_does_not_grow_with_program_length() {
+    // A workload is a description of its run: generating a 4x longer
+    // program must allocate exactly what the 1x one does, block sizes
+    // included (no buffer sized by the op count).
+    let ocean = suite::by_name("ocean").expect("known benchmark");
+    for cores in [16, 64] {
+        let (w1, a1) = counted(|| scaled(ocean.clone(), 1).generate(cores, 7));
+        let largest1 = LARGEST.with(Cell::get);
+        let (w4, a4) = counted(|| scaled(ocean.clone(), 4).generate(cores, 7));
+        let largest4 = LARGEST.with(Cell::get);
+        eprintln!(
+            "generate at {cores} cores: x1 {a1} allocs, largest {largest1} B | \
+             x4 {a4} allocs, largest {largest4} B"
+        );
+        assert!(w4.total_ops() > 3 * w1.total_ops());
+        assert_eq!(a1, a4, "{cores} cores: generate allocates per op");
+        assert_eq!(largest1, largest4, "{cores} cores: largest block grows");
     }
 }
 
