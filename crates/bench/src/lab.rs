@@ -3,16 +3,16 @@
 use std::cell::Cell;
 use std::io;
 
-use spcp_harness::{RunMatrix, SpoolError, StreamConfig, SweepEngine, SweepResult};
+use spcp_harness::{RunMatrix, StreamConfig, SweepEngine, SweepResult};
 
 /// A worker count plus, optionally, a spool directory: everything an
 /// experiment needs to run its sweeps.
 ///
 /// Without a spool every sweep runs through the in-memory engine. With
-/// one, sweep number `n` of the experiment spools to `<out>/<n>` (under
-/// the experiment's own directory), so experiments that sweep more
-/// than once never share shards and `--resume` replays each sweep from its
-/// own directory.
+/// one, every sweep, recording ones included, streams: sweep number `n`
+/// of the experiment spools to `<out>/<n>` (under the experiment's own
+/// directory), so experiments that sweep more than once never share
+/// shards and `--resume` replays each sweep from its own directory.
 #[derive(Debug)]
 pub struct Lab {
     jobs: usize,
@@ -52,9 +52,6 @@ impl Lab {
     /// Runs `matrix` and returns its runs in canonical order, printing the
     /// harness status line to stderr.
     ///
-    /// Recording matrices cannot stream (their per-epoch payloads are not
-    /// spooled), so they run in memory with a note on stderr.
-    ///
     /// # Errors
     ///
     /// Spool failures: a non-empty spool without `--resume`, a spool from
@@ -67,14 +64,11 @@ impl Lab {
                 dir: cfg.dir.join(ordinal.to_string()),
                 ..cfg.clone()
             };
-            match engine.run_streamed(matrix, &cfg) {
-                Ok(streamed) => {
-                    eprintln!("[harness] {}", streamed.status_line());
-                    return streamed.into_sweep_result().map_err(io::Error::other);
-                }
-                Err(SpoolError::Unsupported(why)) => eprintln!("[harness] --out ignored: {why}"),
-                Err(e) => return Err(io::Error::other(e)),
-            }
+            let streamed = engine
+                .run_streamed(matrix, &cfg)
+                .map_err(io::Error::other)?;
+            eprintln!("[harness] {}", streamed.status_line());
+            return streamed.into_sweep_result().map_err(io::Error::other);
         }
         let result = engine.run(matrix);
         eprintln!("[harness] {}", result.timing_line());
@@ -86,19 +80,14 @@ impl Lab {
 mod tests {
     use super::*;
     use spcp_harness::golden;
-    use spcp_system::{PredictorKind, ProtocolKind, RunStats};
+    use spcp_system::{PredictorKind, ProtocolKind};
     use spcp_workloads::suite;
 
-    /// A sweep's golden render plus each run's `Debug` text, without the
-    /// communication matrix, which spools leave out.
+    /// A sweep's golden render plus each run's `Debug` text.
     fn report(sweep: &SweepResult) -> String {
         let mut out = golden::render(sweep);
         for run in &sweep.runs {
-            let spooled = RunStats {
-                comm_matrix: Default::default(),
-                ..run.stats.clone()
-            };
-            out.push_str(&format!("{spooled:?}\n"));
+            out.push_str(&format!("{:?}\n", run.stats));
         }
         out
     }
@@ -111,38 +100,26 @@ mod tests {
 
     #[test]
     fn streamed_sweep_and_resume_match_in_memory() {
-        let dir = tmp_dir("stream");
-        let matrix = RunMatrix::new()
+        let plain = RunMatrix::new()
             .bench(suite::x264())
             .protocol("dir", ProtocolKind::Directory)
             .protocol("sp", ProtocolKind::Predicted(PredictorKind::sp_default()));
-        let mem = Lab::new(2).sweep(&matrix).unwrap();
-        let cfg = StreamConfig::new(&dir).flush_every(1);
-        let streamed = Lab::new(2).streamed(cfg.clone()).sweep(&matrix).unwrap();
-        assert_eq!(report(&mem), report(&streamed));
-        // A second fresh run into the same spool is refused...
-        assert!(Lab::new(2).streamed(cfg.clone()).sweep(&matrix).is_err());
-        // ...while resuming the finished spool re-runs nothing and agrees.
-        let resumed = Lab::new(2)
-            .streamed(cfg.resume(true))
-            .sweep(&matrix)
-            .unwrap();
-        assert_eq!(report(&mem), report(&resumed));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recording_sweep_falls_back_to_memory() {
-        let dir = tmp_dir("recfall");
-        let matrix = RunMatrix::new()
-            .bench(suite::x264())
-            .protocol("dir", ProtocolKind::Directory)
-            .recording();
-        let lab = Lab::new(1).streamed(StreamConfig::new(&dir));
-        let result = lab.sweep(&matrix).unwrap();
-        assert_eq!(result.runs.len(), 1);
-        assert!(!result.runs[0].stats.epoch_records.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        for (tag, matrix) in [("plain", plain.clone()), ("recording", plain.recording())] {
+            let dir = tmp_dir(tag);
+            let mem = Lab::new(2).sweep(&matrix).unwrap();
+            let cfg = StreamConfig::new(&dir).flush_every(1);
+            let streamed = Lab::new(2).streamed(cfg.clone()).sweep(&matrix).unwrap();
+            assert_eq!(report(&mem), report(&streamed), "{tag}");
+            // A second fresh run into the same spool is refused...
+            assert!(Lab::new(2).streamed(cfg.clone()).sweep(&matrix).is_err());
+            // ...while resuming the finished spool re-runs nothing and agrees.
+            let resumed = Lab::new(2)
+                .streamed(cfg.resume(true))
+                .sweep(&matrix)
+                .unwrap();
+            assert_eq!(report(&mem), report(&resumed), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Two sweeps that share a protocol label but not a protocol must not

@@ -469,7 +469,7 @@ fn cmd_matrix(args: &Args) -> Result<(), String> {
     let workload = spec.generate(16, seed);
     let stats = CmpSystem::run_workload(
         &workload,
-        &RunConfig::new(MachineConfig::paper_16core(), protocol),
+        &RunConfig::new(MachineConfig::paper_16core(), protocol).recording(),
     );
     let max = stats.comm_matrix.max().max(1);
     // Log-ish shading so sparse rows stay visible.

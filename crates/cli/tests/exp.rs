@@ -63,38 +63,41 @@ fn resume_requires_out() {
     );
 }
 
-/// ext_commercial reads SP's per-source counters, so a spooled and a
-/// resumed run reproduce its report only if those counters round-trip.
+/// ext_commercial reads SP's per-source counters, and fig2, fig4 and
+/// fig6 read the recording payloads (communication matrix, epoch records,
+/// PC volumes), so a spooled and a resumed run reproduce their reports
+/// only if all of those round-trip.
 #[test]
 fn spooled_and_resumed_runs_match_the_fixture() {
     let dir = std::env::temp_dir().join(format!("spcp-exp-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let d = dir.to_str().unwrap();
-    let want = fixture("ext_commercial");
-    let args = [
-        "exp",
+    let names = [
         "ext_commercial",
         "table4_machine_config",
-        "--jobs",
-        "2",
+        "fig2_comm_distribution",
+        "fig4_comm_locality",
+        "fig6_hot_set_patterns",
     ];
-    let both = want.clone() + &fixture("table4_machine_config");
+    let args = [&["exp"], &names[..], &["--jobs", "2"]].concat();
+    let want: String = names.iter().map(|name| fixture(name)).collect();
     let o = spcp(&[&args[..], &["--out", d]].concat());
     assert!(o.status.success(), "{}", stderr(&o));
-    assert_eq!(stdout(&o), both);
+    assert_eq!(stdout(&o), want);
     assert!(dir.join("ext_commercial/0").is_dir());
+    assert!(dir.join("fig4_comm_locality/0").is_dir());
     // A second fresh run into the same spool is refused...
     let o = spcp(&[&args[..], &["--out", d]].concat());
     assert!(!o.status.success());
     assert!(stderr(&o).contains("--resume"), "{}", stderr(&o));
-    // ...and resuming it replays the spool.
+    // ...and resuming it replays the spool, running nothing.
     let o = spcp(&[&args[..], &["--out", d, "--resume"]].concat());
     assert!(o.status.success(), "{}", stderr(&o));
-    assert_eq!(stdout(&o), both);
-    assert!(
-        stderr(&o).contains("2 resumed | 0 executed"),
-        "{}",
-        stderr(&o)
-    );
+    assert_eq!(stdout(&o), want);
+    let err = stderr(&o);
+    assert!(err.contains("2 resumed | 0 executed"), "{err}");
+    let status: Vec<&str> = err.lines().filter(|l| l.starts_with("[harness]")).collect();
+    assert_eq!(status.len(), 4, "{err}");
+    assert!(status.iter().all(|l| l.contains("| 0 executed")), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -291,18 +291,11 @@ pub(crate) mod tests {
     use spcp_workloads::suite;
 
     /// Everything a report can read of a sweep: its golden render plus
-    /// each run's `Debug` text, without the communication matrix, which
-    /// spools leave out.
+    /// each run's `Debug` text.
     pub(crate) fn report_text(sweep: &dyn Replay) -> String {
         let mut out = golden::render_sweep(sweep).expect("replay");
         sweep
-            .replay(&mut |_, stats, _| {
-                let spooled = RunStats {
-                    comm_matrix: Default::default(),
-                    ..stats.clone()
-                };
-                out.push_str(&format!("{spooled:?}\n"));
-            })
+            .replay(&mut |_, stats, _| out.push_str(&format!("{stats:?}\n")))
             .expect("replay");
         out
     }

@@ -14,18 +14,31 @@
 //! old readers.
 //!
 //! SP runs also carry their per-source prediction counters (`SpStats`)
-//! as one `sp` array. Heavy optional payloads (`comm_matrix`,
-//! `epoch_records`, `pc_volumes`, traces) do **not** travel through the
-//! spool; streamed sweeps reject recording matrices up front.
+//! as one `sp` array. Recording runs carry their communication payloads
+//! (`comm_matrix`, `epoch_records`, `pc_volumes`) as one flat array each,
+//! written only when the field is non-empty; a missing key decodes to the
+//! empty field. So every statistic but the trace, which no sweep collects,
+//! round-trips bit-exactly.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use spcp_sim::{Histogram, MeanAccumulator};
-use spcp_system::{RunStats, SCALARS};
+use spcp_system::metrics::{EpochId, StaticSyncId, SyncKind};
+use spcp_system::{CommMatrix, EpochRecord, RunStats, SCALARS};
 
 /// Spool format version stamped into every record and shard header.
-pub const RECORD_VERSION: u64 = 2;
+pub const RECORD_VERSION: u64 = 3;
+
+/// Sync kinds in the order their index is spooled.
+const SYNC_KINDS: [SyncKind; 6] = [
+    SyncKind::Barrier,
+    SyncKind::Join,
+    SyncKind::Wakeup,
+    SyncKind::Broadcast,
+    SyncKind::Lock,
+    SyncKind::Unlock,
+];
 
 /// One completed run as it travels through a spool file.
 #[derive(Debug, Clone)]
@@ -306,6 +319,91 @@ fn get_str(map: &HashMap<String, Val>, key: &str) -> Result<String, String> {
     }
 }
 
+/// The values of an optional array field, read front to back.
+struct Words<'a> {
+    key: &'a str,
+    values: std::slice::Iter<'a, u128>,
+}
+
+impl<'a> Words<'a> {
+    /// The array under `key`; a missing key reads as an empty array.
+    fn of(map: &'a HashMap<String, Val>, key: &'a str) -> Result<Self, String> {
+        let values = match map.get(key) {
+            Some(Val::Arr(vs)) => vs.iter(),
+            Some(_) => return Err(format!("field '{key}' is not an array")),
+            None => [].iter(),
+        };
+        Ok(Words { key, values })
+    }
+
+    fn is_empty(&self) -> bool {
+        self.values.len() == 0
+    }
+
+    fn ends_early(&self) -> String {
+        format!("field '{}' ends early", self.key)
+    }
+
+    fn next<T: TryFrom<u128>>(&mut self) -> Result<T, String> {
+        let v = *self.values.next().ok_or_else(|| self.ends_early())?;
+        T::try_from(v).map_err(|_| format!("field '{}' holds an out-of-range value", self.key))
+    }
+
+    /// The next `n` values; `n` is checked against what is left before
+    /// anything is allocated for them.
+    fn take<T: TryFrom<u128>>(&mut self, n: usize) -> Result<Vec<T>, String> {
+        if n > self.values.len() {
+            return Err(self.ends_early());
+        }
+        (0..n).map(|_| self.next()).collect()
+    }
+}
+
+/// `epoch_records` as one flat array: per core its record count, then per
+/// record its sync kind, static id, instance, volume count and volumes.
+fn epoch_words(cores: &[Vec<EpochRecord>]) -> impl Iterator<Item = u128> + '_ {
+    cores.iter().flat_map(|records| {
+        std::iter::once(records.len() as u128).chain(records.iter().flat_map(|r| {
+            let kind = SYNC_KINDS.iter().position(|&k| k == r.id.kind);
+            [
+                kind.expect("every sync kind is listed") as u128,
+                r.id.static_id.raw().into(),
+                r.instance.into(),
+                r.volumes.len() as u128,
+            ]
+            .into_iter()
+            .chain(r.volumes.iter().map(|&v| v.into()))
+        }))
+    })
+}
+
+fn decode_epochs(mut w: Words) -> Result<Vec<Vec<EpochRecord>>, String> {
+    let mut cores = Vec::new();
+    while !w.is_empty() {
+        let count: usize = w.next()?;
+        let mut records = Vec::new();
+        for _ in 0..count {
+            let kind = w.next::<usize>()?;
+            let kind = *SYNC_KINDS
+                .get(kind)
+                .ok_or("field 'epoch_records' names no sync kind")?;
+            let id = EpochId {
+                kind,
+                static_id: StaticSyncId::new(w.next()?),
+            };
+            let instance = w.next()?;
+            let len = w.next()?;
+            records.push(EpochRecord {
+                id,
+                instance,
+                volumes: w.take(len)?,
+            });
+        }
+        cores.push(records);
+    }
+    Ok(cores)
+}
+
 fn get_arr_u64(map: &HashMap<String, Val>, key: &str) -> Result<Vec<u64>, String> {
     match map.get(key) {
         Some(Val::Arr(vs)) => vs
@@ -353,14 +451,29 @@ pub fn encode_record(rec: &RunRecord) -> String {
     if let Some(sp) = &s.sp {
         w.arr("sp", sp.counters().map(u128::from));
     }
+    if s.comm_matrix.num_cores() > 0 {
+        let cells = s.comm_matrix.rows().flatten();
+        w.arr("comm_matrix", cells.map(|&c| c.into()));
+    }
+    if !s.epoch_records.is_empty() {
+        w.arr("epoch_records", epoch_words(&s.epoch_records));
+    }
+    if !s.pc_volumes.is_empty() {
+        // Per PC: the PC, its volume count, then the volumes.
+        let words = s.pc_volumes.iter().flat_map(|(&pc, v)| {
+            [pc.into(), v.len() as u128]
+                .into_iter()
+                .chain(v.iter().map(|&x| x.into()))
+        });
+        w.arr("pc_volumes", words);
+    }
     w.finish()
 }
 
 /// Decodes a frame payload back into a [`RunRecord`].
 ///
-/// Heavy optional payloads (communication matrix, epoch records, traces)
-/// are not spooled, so the reconstructed `RunStats` carries their empty
-/// defaults; every golden and report field round-trips bit-exactly.
+/// Traces are not spooled, so the reconstructed `RunStats` carries an
+/// empty one; every other field round-trips bit-exactly.
 pub fn decode_record(payload: &str) -> Result<RunRecord, String> {
     let map = parse_object(payload)?;
     if get_str(&map, "kind")? != "run" {
@@ -410,6 +523,18 @@ pub fn decode_record(payload: &str) -> Result<RunRecord, String> {
         for (counter, value) in counters.into_iter().zip(values) {
             *counter = value;
         }
+    }
+    if map.contains_key("comm_matrix") {
+        let cells = get_arr_u64(&map, "comm_matrix")?;
+        stats.comm_matrix =
+            CommMatrix::from_cells(cells).ok_or("field 'comm_matrix' is not square")?;
+    }
+    stats.epoch_records = decode_epochs(Words::of(&map, "epoch_records")?)?;
+    let mut pcs = Words::of(&map, "pc_volumes")?;
+    while !pcs.is_empty() {
+        let pc = pcs.next()?;
+        let len = pcs.next()?;
+        stats.pc_volumes.insert(pc, pcs.take(len)?);
     }
     Ok(RunRecord {
         index: get_u64(&map, "index")? as usize,
@@ -507,6 +632,10 @@ mod tests {
         assert_eq!(back.stats.noc, rec.stats.noc);
         assert_eq!(back.stats.snoop_energy.to_bits(), 0.125f64.to_bits());
         assert_eq!(back.stats.sp, None);
+        // A run that records nothing spools no recording keys.
+        for key in ["comm_matrix", "epoch_records", "pc_volumes"] {
+            assert!(!payload.contains(key), "{key}");
+        }
         // And the re-encoding is byte-identical (canonical field order).
         assert_eq!(encode_record(&back), payload);
     }
@@ -522,7 +651,9 @@ mod tests {
     }
 
     /// Every row of the statistics table, the fields the golden does not
-    /// show and SP's counters, each set to its own nonzero value.
+    /// show, SP's counters and the recording payloads, each set to its own
+    /// nonzero value. The epoch records cover every sync kind, a silent
+    /// epoch (empty volumes) and a core with no records.
     fn every_field_distinct() -> RunRecord {
         let mut rec = sample_record();
         let s = &mut rec.stats;
@@ -540,6 +671,23 @@ mod tests {
         for (i, counter) in sp.counters_mut().into_iter().enumerate() {
             *counter = 50 + i as u64;
         }
+        s.comm_matrix = CommMatrix::from_cells((300..316).collect()).unwrap();
+        let record = |i: usize, volumes: Vec<u32>| EpochRecord {
+            id: EpochId {
+                kind: SYNC_KINDS[i],
+                static_id: StaticSyncId::new(u32::MAX - i as u32),
+            },
+            instance: u64::MAX - i as u64,
+            volumes,
+        };
+        s.epoch_records = vec![
+            vec![record(0, vec![0, 5, 0, 7]), record(1, Vec::new())],
+            Vec::new(),
+            (2..SYNC_KINDS.len())
+                .map(|i| record(i, vec![i as u32; 4]))
+                .collect(),
+        ];
+        s.pc_volumes = [(7, vec![1, 2, 3, 4]), (u32::MAX, vec![0, 0, 9, u64::MAX])].into();
         rec
     }
 
@@ -560,6 +708,20 @@ mod tests {
         let snapshot = crate::golden::snapshot_run(&spec, &rec.stats);
         assert_eq!(crate::golden::snapshot_run(&spec, &back.stats), snapshot);
         assert_eq!(format!("{:?}", back.stats), format!("{:?}", rec.stats));
+    }
+
+    #[test]
+    fn malformed_recording_payloads_are_rejected() {
+        let payload = encode_record(&every_field_distinct());
+        let cut = |key: &str, last: &str| {
+            let at = payload.find(&format!("\"{key}\":[")).unwrap();
+            let end = at + payload[at..].find(']').unwrap();
+            let short = format!("{}]{}", &payload[..end - last.len()], &payload[end + 1..]);
+            decode_record(&short).unwrap_err()
+        };
+        assert!(cut("comm_matrix", ",315").contains("square"));
+        assert!(cut("epoch_records", ",5").contains("ends early"));
+        assert!(cut("pc_volumes", ",18446744073709551615").contains("ends early"));
     }
 
     #[test]

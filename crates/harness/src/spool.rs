@@ -64,9 +64,6 @@ pub enum SpoolError {
         /// Total cells in the matrix.
         total: usize,
     },
-    /// The matrix cannot be streamed (e.g. recording matrices, whose heavy
-    /// per-epoch payloads are not spooled).
-    Unsupported(String),
 }
 
 impl fmt::Display for SpoolError {
@@ -98,7 +95,6 @@ impl fmt::Display for SpoolError {
                 f,
                 "spool is incomplete: {missing} of {total} runs have no complete record"
             ),
-            SpoolError::Unsupported(what) => write!(f, "streaming unsupported: {what}"),
         }
     }
 }
@@ -120,8 +116,8 @@ fn io_err(path: &Path, error: io::Error) -> SpoolError {
 }
 
 /// Fingerprint of an expanded matrix: FNV-1a over every spec id (in
-/// canonical order, `+filter` appended to snoop-filtered cells) plus the
-/// spec count.
+/// canonical order, `+filter` appended to snoop-filtered cells and
+/// `+record` to recording ones) plus the spec count.
 ///
 /// Stored in shard headers so `--resume` refuses to mix results from a
 /// different matrix into the current sweep. `validate` is left out: it
@@ -132,6 +128,9 @@ pub fn fingerprint(specs: &[RunSpec]) -> u64 {
         buf.push_str(&spec.id());
         if spec.snoop_filter {
             buf.push_str("+filter");
+        }
+        if spec.record {
+            buf.push_str("+record");
         }
         buf.push('\n');
     }
@@ -685,6 +684,7 @@ mod tests {
         // changes no stats and so no fingerprint.
         assert_eq!(f1, frame::checksum(b"fft/dir/seed7/paper16\n1"));
         assert_eq!(f1, fingerprint(&m1.clone().validated().expand()));
-        assert_ne!(f1, fingerprint(&m1.with_snoop_filter().expand()));
+        assert_ne!(f1, fingerprint(&m1.clone().with_snoop_filter().expand()));
+        assert_ne!(f1, fingerprint(&m1.recording().expand()));
     }
 }

@@ -98,13 +98,6 @@ impl SweepEngine {
         cfg: &StreamConfig,
     ) -> Result<StreamedSweep, SpoolError> {
         let specs = matrix.expand();
-        if specs.iter().any(|s| s.record) {
-            return Err(SpoolError::Unsupported(
-                "recording matrices spool no per-epoch payloads; \
-                 run them through the in-memory engine"
-                    .to_string(),
-            ));
-        }
         let fingerprint = spool::fingerprint(&specs);
         fs::create_dir_all(&cfg.dir).map_err(|e| SpoolError::Io {
             path: cfg.dir.clone(),
@@ -393,17 +386,6 @@ mod tests {
             other => panic!("expected MatrixMismatch, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recording_matrices_are_rejected() {
-        let dir = tmp_dir("recording");
-        let matrix = small_matrix().recording();
-        match SweepEngine::new(1).run_streamed(&matrix, &StreamConfig::new(&dir)) {
-            Err(SpoolError::Unsupported(msg)) => assert!(msg.contains("recording"), "{msg}"),
-            other => panic!("expected Unsupported, got {other:?}"),
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

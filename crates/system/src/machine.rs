@@ -101,7 +101,6 @@ struct ThreadCtx {
     tracker: EpochTracker,
     cur_epoch: Option<EpochInstance>,
     cur_volumes: Vec<u32>,
-    cur_targets: Vec<CoreSet>,
     records: Vec<EpochRecord>,
 }
 
@@ -112,7 +111,6 @@ impl ThreadCtx {
     fn close_epoch(&mut self) {
         let Some(inst) = self.cur_epoch else {
             self.cur_volumes.fill(0);
-            self.cur_targets.clear();
             return;
         };
         // Only a communicating instance hands its counter buffer over to
@@ -129,7 +127,6 @@ impl ThreadCtx {
             id: inst.id,
             instance: inst.instance,
             volumes,
-            miss_targets: std::mem::take(&mut self.cur_targets),
         });
     }
 }
@@ -308,16 +305,17 @@ impl CmpSystem {
                     tracker: EpochTracker::new(),
                     cur_epoch: None,
                     cur_volumes: vec![0; num_cores],
-                    cur_targets: Vec::new(),
                     records: Vec::new(),
                 }
             })
             .collect();
-        let stats = RunStats {
+        let mut stats = RunStats {
             protocol: cfg.protocol.name(),
-            comm_matrix: crate::metrics::CommMatrix::new(num_cores),
             ..RunStats::default()
         };
+        if cfg.record_epochs {
+            stats.comm_matrix = crate::metrics::CommMatrix::new(num_cores);
+        }
         CmpSystem {
             proto: ProtoDispatch::of(&cfg.protocol),
             arrival: ArrivalScratch::new(),
@@ -814,12 +812,7 @@ impl CmpSystem {
         if communicating {
             self.stats.comm_misses += 1;
             self.stats.actual_set_sum += targets.len() as u64;
-            for dst in targets.iter() {
-                self.stats.comm_matrix.bump(core.index(), dst.index());
-                self.threads[th].cur_volumes[dst.index()] += 1;
-            }
             if self.cfg.record_epochs {
-                self.threads[th].cur_targets.push(targets);
                 let n = self.dir.num_tiles();
                 let pcv = self
                     .stats
@@ -827,6 +820,8 @@ impl CmpSystem {
                     .entry(pc)
                     .or_insert_with(|| vec![0; n]);
                 for dst in targets.iter() {
+                    self.stats.comm_matrix.bump(core.index(), dst.index());
+                    self.threads[th].cur_volumes[dst.index()] += 1;
                     pcv[dst.index()] += 1;
                 }
             }
@@ -835,7 +830,7 @@ impl CmpSystem {
         }
         if self.cfg.collect_trace {
             self.stats.trace.push(spcp_trace::TraceEvent::Miss {
-                core,
+                core: CoreId::new(th),
                 block,
                 pc,
                 kind,
@@ -1746,6 +1741,26 @@ mod tests {
         assert!(!s.trace.is_empty());
         assert_eq!(s.epoch_records.len(), 16);
         assert_eq!(s.indirections + s.pred_sufficient_comm, s.comm_misses);
+        // The trace charges each miss to its thread's open epoch, exactly
+        // as the recorder does, whichever core the thread runs on.
+        let analyzer = spcp_trace::TraceAnalyzer::from_events(16, &s.trace);
+        let mut traced: Vec<_> = analyzer
+            .epochs()
+            .iter()
+            .filter(|e| e.total_volume() > 0)
+            .map(|e| (e.core.index(), e.kind, e.static_id, e.instance, &e.volumes))
+            .collect();
+        traced.sort_by_key(|e| e.0);
+        let recorded: Vec<_> = s
+            .epoch_records
+            .iter()
+            .enumerate()
+            .flat_map(|(th, records)| records.iter().map(move |r| (th, r)))
+            .filter(|(_, r)| r.total_volume() > 0)
+            .map(|(th, r)| (th, r.id.kind, r.id.static_id.raw(), r.instance, &r.volumes))
+            .collect();
+        assert!(!recorded.is_empty());
+        assert_eq!(traced, recorded);
     }
 
     #[test]
@@ -1790,7 +1805,8 @@ mod tests {
     #[test]
     fn checked_run_is_clean_on_suite_workload() {
         let w = suite::x264().generate(16, 7);
-        let cfg = RunConfig::new(machine(), ProtocolKind::Directory);
+        // Recording, so the epoch-conservation audit has volumes to check.
+        let cfg = RunConfig::new(machine(), ProtocolKind::Directory).recording();
         let stats = CmpSystem::run_workload_checked(&w, &cfg)
             .unwrap_or_else(|v| panic!("spurious violation: {v}"));
         assert!(stats.l2_misses > 0);

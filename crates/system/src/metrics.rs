@@ -3,9 +3,11 @@
 use spcp_core::SpStats;
 use spcp_noc::NocStats;
 use spcp_sim::{CoreSet, Histogram, MeanAccumulator};
-use spcp_sync::EpochId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::num::TryFromIntError;
+
+/// The types of an [`EpochRecord`]'s `id`, for code that builds records.
+pub use spcp_sync::{EpochId, StaticSyncId, SyncKind};
 
 /// The recorded communication of one dynamic epoch instance on one core —
 /// the raw material for Figures 2, 4, 5, 6 and the oracle predictor.
@@ -20,9 +22,6 @@ pub struct EpochRecord {
     /// recorder stores non-communicating epochs this way so their counter
     /// buffer can be reused instead of reallocated.
     pub volumes: Vec<u32>,
-    /// The minimal sufficient target set of every communicating miss in
-    /// the instance (for ideal-accuracy evaluation).
-    pub miss_targets: Vec<CoreSet>,
 }
 
 impl EpochRecord {
@@ -69,6 +68,13 @@ impl CommMatrix {
             n,
             cells: vec![0; n * n],
         }
+    }
+
+    /// The matrix whose row-major cells are `cells`, or `None` when their
+    /// count is not a square.
+    pub fn from_cells(cells: Vec<u64>) -> Option<Self> {
+        let n = cells.len().isqrt();
+        (n * n == cells.len()).then_some(CommMatrix { n, cells })
     }
 
     /// Number of cores per side (0 for the default empty matrix).
@@ -186,13 +192,14 @@ pub struct RunStats {
     /// Aggregated SP statistics (present for SP runs).
     pub sp: Option<SpStats>,
 
-    /// Whole-run communication volume matrix (`src → dst`).
+    /// Whole-run communication volume matrix (`src → dst`; only when
+    /// recording was enabled).
     pub comm_matrix: CommMatrix,
     /// Per-core epoch records (only when recording was enabled).
     pub epoch_records: Vec<Vec<EpochRecord>>,
     /// Per-static-instruction communication volumes (only when recording):
     /// `pc -> per-target volumes`.
-    pub pc_volumes: HashMap<u32, Vec<u64>>,
+    pub pc_volumes: BTreeMap<u32, Vec<u64>>,
     /// The §3.2-style miss + sync-point trace (only when trace collection
     /// was enabled).
     pub trace: Vec<spcp_trace::TraceEvent>,
@@ -234,7 +241,7 @@ impl Default for RunStats {
             sp: None,
             comm_matrix: CommMatrix::default(),
             epoch_records: Vec::new(),
-            pc_volumes: HashMap::new(),
+            pc_volumes: BTreeMap::new(),
             trace: Vec::new(),
         }
     }
@@ -435,7 +442,6 @@ pub static SCALARS: [Scalar; 34] = [
 mod tests {
     use super::*;
     use spcp_sim::CoreId;
-    use spcp_sync::{StaticSyncId, SyncKind};
 
     fn record(volumes: Vec<u32>) -> EpochRecord {
         EpochRecord {
@@ -445,7 +451,6 @@ mod tests {
             },
             instance: 0,
             volumes,
-            miss_targets: Vec::new(),
         }
     }
 

@@ -74,7 +74,6 @@ mod tests {
             id: eid(1),
             instance: 2,
             volumes,
-            miss_targets: Vec::new(),
         }]];
         let book = OracleBook::from_records(&records, 0.10);
         assert_eq!(book.len(), 1);

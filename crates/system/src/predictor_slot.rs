@@ -220,7 +220,6 @@ mod tests {
             },
             instance: 0,
             volumes,
-            miss_targets: Vec::new(),
         }]];
         let book = OracleBook::from_records(&records, 0.1);
         let locks = shared_lock_table(2);

@@ -13,7 +13,8 @@ use std::fmt;
 pub enum TraceEvent {
     /// An L2 miss (including upgrades).
     Miss {
-        /// Issuing core.
+        /// Issuing thread: its logical id, which is its core unless
+        /// threads migrate.
         core: CoreId,
         /// Missing block.
         block: BlockAddr,
@@ -21,12 +22,13 @@ pub enum TraceEvent {
         pc: u32,
         /// Access type.
         kind: AccessKind,
-        /// The minimal sufficient target set (empty = memory-serviced).
+        /// The minimal sufficient target set (empty = memory-serviced), in
+        /// physical cores.
         targets: CoreSet,
     },
     /// A synchronization point.
     Sync {
-        /// Executing core.
+        /// Executing thread, numbered like [`TraceEvent::Miss`]'s issuer.
         core: CoreId,
         /// Routine kind.
         kind: SyncKind,

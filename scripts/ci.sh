@@ -104,6 +104,17 @@ cargo run --release --offline -q -p spcp-cli -- exp fig8_miss_latency --jobs 2 \
     --out "$SPOOL/exp" --resume > "$SPOOL/fig8.out"
 cmp "$SPOOL/fig8.out" crates/bench/tests/fixtures/fig8_miss_latency.out
 
+step "recording kill-resume smoke: torn table1 shard, --resume reprints the report"
+# table1 reads the epoch records, which its spool carries.
+cargo run --release --offline -q -p spcp-cli -- exp table1_sync_epoch_stats --jobs 2 \
+    --out "$SPOOL/rec" > /dev/null
+SHARD="$(ls "$SPOOL"/rec/table1_sync_epoch_stats/0/shard-*.jsonl | tail -1)"
+SIZE="$(wc -c < "$SHARD")"
+truncate -s "$((SIZE - 7))" "$SHARD"
+cargo run --release --offline -q -p spcp-cli -- exp table1_sync_epoch_stats --jobs 2 \
+    --out "$SPOOL/rec" --resume > "$SPOOL/table1.out"
+cmp "$SPOOL/table1.out" crates/bench/tests/fixtures/table1_sync_epoch_stats.out
+
 step "trace pipeline smoke: record, characterize and race-check a trace file"
 cargo run --release --offline -p spcp-cli -- trace --bench fft --out "$SPOOL/fft.trace"
 cargo run --release --offline -p spcp-cli -- analyze --trace "$SPOOL/fft.trace"

@@ -185,8 +185,13 @@ fn random_programs_run_deterministically() {
     for case in 0..CASES {
         let mut rng = case_rng(2, case);
         let w = lower(&random_program(&mut rng, 4), 4);
-        let a = run_validated(&w, ProtocolKind::Predicted(PredictorKind::sp_default()));
-        let b = run_validated(&w, ProtocolKind::Predicted(PredictorKind::sp_default()));
+        let cfg = RunConfig::new(
+            small_machine(),
+            ProtocolKind::Predicted(PredictorKind::sp_default()),
+        )
+        .recording();
+        let a = CmpSystem::run_workload_validated(&w, &cfg);
+        let b = CmpSystem::run_workload_validated(&w, &cfg);
         assert_eq!(a.exec_cycles, b.exec_cycles, "case {case}");
         assert_eq!(a.noc.byte_hops, b.noc.byte_hops, "case {case}");
         assert_eq!(a.comm_matrix, b.comm_matrix, "case {case}");
@@ -312,7 +317,8 @@ fn runtime_audits_do_not_perturb_results() {
         let cfg = RunConfig::new(
             small_machine(),
             ProtocolKind::Predicted(PredictorKind::sp_default()),
-        );
+        )
+        .recording();
         let plain = CmpSystem::run_workload(&w, &cfg);
         let checked = CmpSystem::run_workload_checked(&w, &cfg).expect("clean program");
         assert_eq!(plain.exec_cycles, checked.exec_cycles, "case {case}");

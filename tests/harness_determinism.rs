@@ -26,15 +26,10 @@ fn matrix_24() -> RunMatrix {
         .seeds(&[7, 11])
 }
 
-/// One run's statistics as `Debug` text, without the communication matrix,
-/// which spools leave out: every field a report can read, the latency
-/// extremes, the histogram and SP's counters included.
+/// One run's statistics as `Debug` text: every field a report can read,
+/// the latency extremes, the histogram and SP's counters included.
 fn run_debug(id: &str, stats: &RunStats) -> String {
-    let spooled = RunStats {
-        comm_matrix: Default::default(),
-        ..stats.clone()
-    };
-    format!("{id}: {spooled:?}\n")
+    format!("{id}: {stats:?}\n")
 }
 
 /// Every run's [`run_debug`], in canonical order.

@@ -170,13 +170,10 @@ fn cells() -> Vec<Cell> {
 }
 
 /// The statistics as one string that differs whenever any field does:
-/// the full `Debug` form with `pc_volumes` sorted (a `HashMap` prints in
-/// arbitrary order) and both energies also given as raw bits.
-fn canonical(mut stats: RunStats) -> String {
-    let mut pcs: Vec<(u32, Vec<u64>)> = stats.pc_volumes.drain().collect();
-    pcs.sort_unstable();
+/// the full `Debug` form with both energies also given as raw bits.
+fn canonical(stats: RunStats) -> String {
     format!(
-        "{stats:?}\npc_volumes: {pcs:?}\nnoc energy bits: {:#x}\nsnoop energy bits: {:#x}",
+        "{stats:?}\nnoc energy bits: {:#x}\nsnoop energy bits: {:#x}",
         stats.noc.energy.to_bits(),
         stats.snoop_energy.to_bits()
     )

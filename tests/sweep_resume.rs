@@ -167,6 +167,27 @@ fn resume_rejects_a_toggled_snoop_filter() {
 }
 
 #[test]
+fn resume_rejects_a_toggled_recording_flag() {
+    let plain = RunMatrix::new()
+        .bench(suite::by_name("fft").unwrap())
+        .protocol("dir", ProtocolKind::Directory);
+    // Same cell ids, but only recording runs spool their epoch records:
+    // either way round, a resume would mix runs with and without them.
+    for (first, second) in [
+        (plain.clone(), plain.clone().recording()),
+        (plain.clone().recording(), plain),
+    ] {
+        let spool = Spool::new("recording");
+        SweepEngine::new(1)
+            .run_streamed(&first, &StreamConfig::new(&spool.0))
+            .expect("first sweep");
+        let err =
+            SweepEngine::new(1).run_streamed(&second, &StreamConfig::new(&spool.0).resume(true));
+        assert!(matches!(err, Err(SpoolError::MatrixMismatch { .. })));
+    }
+}
+
+#[test]
 fn resume_refuses_a_shard_of_another_spool_version() {
     let spool = Spool::new("version");
     let matrix = RunMatrix::new()
